@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .period2 import (DomainError, domain_bounds, f_scalar, period2_map,
                       sign_relation_check, theta_cr)
-from .potts import (ENUMERATION_GUARD, EnumerationLimitError, ModelParams,
-                    check_consistency, propagate_fields)
+from .potts import (EnumerationLimitError, ModelParams, check_consistency,
+                    propagate_fields)
 from .scan import emit_csv, emit_json, row_from_report, scan_theta
 from .solver import BisectionError, find_h_roots, fixed_point_iterate
 from .tree import build_tree, level_sizes, sphere
@@ -59,12 +59,6 @@ def _resolve_theta(args) -> float:
     if not (math.isfinite(args.beta) and args.beta > 0):
         raise ValueError(f"--beta must be positive and finite, got {args.beta}")
     return math.exp(args.J * args.beta)
-
-
-def _out_stream(args):
-    if args.out:
-        return open(args.out, "w", encoding="ascii", newline="")
-    return sys.stdout
 
 
 def _emit_text(text: str, args) -> None:
@@ -168,11 +162,6 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     params = ModelParams.from_theta(args.k, args.q, theta)
     tree = build_tree(args.k, args.n)
-    states = args.q ** tree.n_vertices
-    if states > ENUMERATION_GUARD:
-        raise EnumerationLimitError(
-            f"enumeration guard exceeded: {args.q}^{tree.n_vertices} "
-            f"= {states} > {ENUMERATION_GUARD}")
 
     leaves = sphere(tree, args.n)
     rng = np.random.default_rng(args.seed)
@@ -357,3 +346,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

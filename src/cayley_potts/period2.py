@@ -86,7 +86,8 @@ def period2_map(z, theta: float, k: int) -> np.ndarray:
         z3' = ((theta z1 + z2 + 1)/(z1 + z2 + theta))^k
         z4' = ((theta z2 + z1 + 1)/(z1 + z2 + theta))^k
 
-    All denominators are positive for positive input, so the map is total.
+    All denominators are positive for positive input, so the map is total;
+    a component that leaves the float range (inf, or 0) raises OverflowError.
     """
     _check_theta_k(theta, k)
     z = np.asarray(z, dtype=float)
@@ -97,12 +98,17 @@ def period2_map(z, theta: float, k: int) -> np.ndarray:
     z1, z2, z3, z4 = z
     d34 = z3 + z4 + theta
     d12 = z1 + z2 + theta
-    return np.array([
-        ((theta * z3 + z4 + 1.0) / d34) ** k,
-        ((theta * z4 + z3 + 1.0) / d34) ** k,
-        ((theta * z1 + z2 + 1.0) / d12) ** k,
-        ((theta * z2 + z1 + 1.0) / d12) ** k,
-    ])
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.array([
+            ((theta * z3 + z4 + 1.0) / d34) ** k,
+            ((theta * z4 + z3 + 1.0) / d34) ** k,
+            ((theta * z1 + z2 + 1.0) / d12) ** k,
+            ((theta * z2 + z1 + 1.0) / d12) ** k,
+        ])
+    if not (np.isfinite(out).all() and (out > 0).all()):
+        raise OverflowError(f"parity map left the float range at "
+                            f"z={z.tolist()}, theta={theta!r}, k={k}")
+    return out
 
 
 def _sign(x: float) -> int:

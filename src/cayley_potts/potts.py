@@ -133,9 +133,9 @@ def hamiltonian(tree: FiniteTree, config, params: ModelParams) -> float:
     return -params.J * mono
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    m = np.max(a, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.sum(np.exp(a - m), axis=-1))
 
 
 def f_map(h, params: ModelParams) -> np.ndarray:
@@ -150,24 +150,27 @@ def f_map(h, params: ModelParams) -> np.ndarray:
     of positive exponentials, so they are evaluated in log space; this keeps
     the numerator structurally positive and can never emit a silent NaN.
     Non-finite inputs or outputs raise instead.
+
+    ``h`` is one field vector of shape (q-1,) or a stack of N of them of
+    shape (N, q-1); the map acts on the last axis, row by row.
     """
     q = params.q
     h = np.asarray(h, dtype=float)
-    if h.shape != (q - 1,):
-        raise ValueError(f"field vector must have shape ({q - 1},), "
-                         f"got {h.shape}")
+    if h.ndim not in (1, 2) or h.shape[-1] != q - 1:
+        raise ValueError(f"field vector must have shape ({q - 1},) or "
+                         f"(N, {q - 1}), got {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("field components must be finite")
 
     log_theta = math.log(params.theta)
-    den = _logsumexp(np.append(h, log_theta))
-    terms = np.append(h, 0.0)
-    out = np.empty(q - 1)
+    gauge = np.zeros(h.shape[:-1] + (1,))
+    den = _logsumexp(np.concatenate([h, gauge + log_theta], axis=-1))
+    terms = np.concatenate([h, gauge], axis=-1)
+    out = np.empty_like(h)
     for i in range(q - 1):
-        saved = terms[i]
-        terms[i] = log_theta + h[i]
-        out[i] = _logsumexp(terms) - den
-        terms[i] = saved
+        terms[..., i] = log_theta + h[..., i]
+        out[..., i] = _logsumexp(terms) - den
+        terms[..., i] = h[..., i]
     if not np.isfinite(out).all():
         raise ValueError("field map produced a non-finite component")
     return out
@@ -188,16 +191,14 @@ def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.n
     if not np.isfinite(leaf).all():
         raise ValueError("leaf field components must be finite")
 
-    fields = np.zeros((tree.n_vertices, q - 1))
+    fields = np.empty((tree.n_vertices, q - 1))
     fields[leaves] = leaf
-    # children always carry higher indices, so one reverse sweep suffices
-    for v in range(tree.n_vertices - 1, -1, -1):
-        block = tree.children[v]
-        if block:
-            acc = np.zeros(q - 1)
-            for u in block:
-                acc += f_map(fields[u], params)
-            fields[v] = acc
+    # sphere m+1 lists the children of sphere m parent by parent, so one
+    # reshape groups each parent's siblings
+    for m in range(tree.depth - 1, -1, -1):
+        parents = sphere(tree, m)
+        mapped = f_map(fields[sphere(tree, m + 1)], params)
+        fields[parents] = mapped.reshape(len(parents), -1, q - 1).sum(axis=1)
     return fields
 
 

@@ -33,7 +33,8 @@ NEAR_DEGENERATE_REL = 1e-7
 # x = 1 stays under 1e-15); adjacent sign changes with h pinned below the
 # floor between them are one uncertifiable root, not several
 NOISE_FLOOR = 1e-14
-# |f(x0) - x2| tolerance for orbit pairing
+# |f(x0) - x2| tolerance for orbit pairing, relative to x2, which reaches
+# theta^-k and so spans many decades
 PAIR_TOL = 1e-8
 
 KIND_TRANSLATION_INVARIANT = "translation-invariant"
@@ -285,7 +286,7 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
         if not unused:
             continue
         partner = min(unused, key=lambda x2: abs(fx - x2))
-        if abs(fx - partner) <= PAIR_TOL:
+        if abs(fx - partner) <= PAIR_TOL * partner:
             pairs.append((x0, partner))
             unused.remove(partner)
 

@@ -6,11 +6,13 @@ of radius n around a distinguished root: the root keeps all k+1 neighbours
 as children and every other internal vertex has k children, so that degrees
 match the infinite tree everywhere except on the depth-n boundary.
 
-Vertices carry dense integer indices in breadth-first order.  Two facts the
-rest of the package relies on:
+Vertices carry dense integer indices in breadth-first order, so the layout
+is plain arithmetic that the rest of the package relies on:
 
 * the ball of radius m < n occupies the index prefix 0 .. ball_size(k,m)-1,
-* the children of any vertex form a contiguous increasing index range.
+* the root's children are 1 .. k+1 and every other vertex v has the
+  children k*v+2 .. k*v+k+1, so generation m+1 lists the children of
+  generation m parent by parent.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class FiniteTree:
     depth: int
     parent: np.ndarray      # parent[v]; -1 for the root
     generation: np.ndarray  # distance from the root
-    children: tuple         # tuple of per-vertex child index tuples
 
     @property
     def n_vertices(self) -> int:
@@ -72,44 +73,36 @@ def build_tree(k: int, n: int) -> FiniteTree:
             f"tree with k={k}, n={n} needs {total} vertices, "
             f"above the guard of {MAX_VERTICES}")
 
-    parent = np.full(total, -1, dtype=np.int64)
-    generation = np.zeros(total, dtype=np.int64)
-    kids: list[tuple[int, ...]] = [()] * total
-
-    cursor = 1
-    frontier = [0]
-    for gen in range(1, n + 1):
-        nxt: list[int] = []
-        for v in frontier:
-            width = k + 1 if v == 0 else k
-            block = tuple(range(cursor, cursor + width))
-            kids[v] = block
-            for u in block:
-                parent[u] = v
-                generation[u] = gen
-            nxt.extend(block)
-            cursor += width
-        frontier = nxt
-    assert cursor == total
+    # inverse of the child layout: (v-2)//k, except for the root's children
+    parent = (np.arange(total, dtype=np.int64) - 2) // k
+    parent[1:k + 2] = 0
+    parent[0] = -1
+    generation = np.repeat(np.arange(n + 1, dtype=np.int64),
+                           [sphere_size(k, m) for m in range(n + 1)])
 
     parent.setflags(write=False)
     generation.setflags(write=False)
     return FiniteTree(k=int(k), depth=int(n), parent=parent,
-                      generation=generation, children=tuple(kids))
+                      generation=generation)
 
 
 def sphere(tree: FiniteTree, m: int) -> np.ndarray:
     """Vertex indices at distance m from the root, ascending."""
     if not 0 <= m <= tree.depth:
         raise ValueError(f"generation {m} outside 0..{tree.depth}")
-    return np.nonzero(tree.generation == m)[0]
+    stop = ball_size(tree.k, m)
+    return np.arange(stop - sphere_size(tree.k, m), stop)
 
 
 def children(tree: FiniteTree, x: int) -> tuple:
     """Child indices of vertex x (empty for depth-n leaves)."""
     if not 0 <= x < tree.n_vertices:
         raise ValueError(f"vertex {x} outside 0..{tree.n_vertices - 1}")
-    return tree.children[x]
+    first, width = (1, tree.k + 1) if x == 0 else (tree.k * x + 2, tree.k)
+    # a depth-n leaf's children would start at ball_size(k, n) or beyond
+    if first >= tree.n_vertices:
+        return ()
+    return tuple(range(first, first + width))
 
 
 def edges(tree: FiniteTree) -> list[tuple[int, int]]:
@@ -119,5 +112,4 @@ def edges(tree: FiniteTree) -> list[tuple[int, int]]:
 
 def level_sizes(tree: FiniteTree) -> list[int]:
     """Sphere sizes |W_0| .. |W_depth|."""
-    return [int(np.count_nonzero(tree.generation == m))
-            for m in range(tree.depth + 1)]
+    return [sphere_size(tree.k, m) for m in range(tree.depth + 1)]

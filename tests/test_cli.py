@@ -1,7 +1,10 @@
 """End-to-end runs of every subcommand through cli.main."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from cayley_potts import __version__, cli
 from cayley_potts.scan import CSV_HEADER
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -31,6 +35,21 @@ def test_roots_text_below_threshold(capsys):
     assert sum(1 for ln in lines if ln.startswith("  x = ")) == 3
     assert any(ln.startswith("orbit pair: f(") for ln in lines)
     assert lines[-1] == "flags: (none)"
+
+
+def test_python_m_entry_point_matches_readme():
+    command = "roots --k 3 --theta 0.1"
+    readme = (ROOT / "README.md").read_text(encoding="ascii")
+    block = readme.split(f"$ cayley-potts {command}\n", 1)[1]
+    transcript = block.split("```", 1)[0].encode("ascii")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run(
+        [sys.executable, "-m", "cayley_potts.cli", *command.split()],
+        capture_output=True, env=env, timeout=120, check=False)
+    assert done.returncode == 0
+    assert done.stdout == transcript
 
 
 def test_roots_text_above_threshold(capsys):
@@ -203,6 +222,13 @@ def test_orbit_reports_non_convergence(capsys):
                        "--z", "40,0.02,9,0.01", "--max-iter", "2")
     assert code == 2
     assert "no convergence within 2 double-steps; last z = (" in out
+
+
+def test_orbit_float_range_exit_is_numerical_failure(capsys):
+    code, _, err = run(capsys, "orbit", "--k", "400", "--theta", "0.1",
+                       "--z", "2,1,1,3")
+    assert code == 2
+    assert err.startswith("numerical failure:")
 
 
 def test_orbit_rejects_bad_start(capsys):

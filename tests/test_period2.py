@@ -111,6 +111,14 @@ def test_map_validation():
         period2_map(np.ones(4), -0.5, 3)
 
 
+def test_map_leaving_float_range_raises():
+    # ratio 1/theta = 10 to the 400th overflows; theta^400 underflows to 0
+    with pytest.raises(OverflowError):
+        period2_map(np.full(4, 1e-20), 0.1, 400)
+    with pytest.raises(OverflowError):
+        period2_map(np.array([1.0, 1.0, 1e200, 1.0]), 0.1, 400)
+
+
 # ---------------------------------------------------------- sign relations
 
 

@@ -182,6 +182,20 @@ def test_f_map_matches_z_coordinate_map():
                            rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_f_map_stack_matches_rows(q):
+    params = ModelParams.from_theta(2, q, 0.3)
+    rng = np.random.default_rng(41)
+    stack = rng.uniform(-5, 5, size=(64, q - 1))
+    out = f_map(stack, params)
+    assert out.shape == stack.shape
+    for row, got in zip(stack, out):
+        assert np.array_equal(f_map(row, params), got)
+    for shape in [(), (q,), (64, q), (4, 2, q - 1)]:
+        with pytest.raises(ValueError):
+            f_map(np.zeros(shape), params)
+
+
 # --------------------------------------------------------------- measure
 
 
@@ -286,15 +300,17 @@ def test_propagate_equal_leaves_root_triple():
     assert np.array_equal(fields[1], h0)
 
 
-def test_propagate_matches_handrolled_recursion():
-    tree = build_tree(2, 2)
-    params = ModelParams.from_theta(2, 3, 0.8)
+@pytest.mark.parametrize("k,q,n", [(2, 3, 2), (1, 3, 5), (3, 3, 4),
+                                   (2, 5, 3), (3, 2, 3)])
+def test_propagate_matches_handrolled_recursion(k, q, n):
+    tree = build_tree(k, n)
+    params = ModelParams.from_theta(k, q, 0.8)
     rng = np.random.default_rng(19)
-    leaf = rng.uniform(-2, 2, size=(6, 2))
+    leaf = rng.uniform(-2, 2, size=(len(sphere(tree, n)), q - 1))
     fields = propagate_fields(tree, leaf, params)
 
     # bottom-up dict recursion, children looked up by parent scan
-    expected = {int(v): leaf[i] for i, v in enumerate(sphere(tree, 2))}
+    expected = {int(v): leaf[i] for i, v in enumerate(sphere(tree, n))}
     for v in range(tree.n_vertices - 1, -1, -1):
         kids = [u for u in range(tree.n_vertices) if tree.parent[u] == v]
         if kids:

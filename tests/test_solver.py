@@ -150,6 +150,16 @@ def test_find_h_roots_other_orders():
     assert report.pairs == ()
 
 
+def test_find_h_roots_pairs_partner_far_above_one():
+    # x2 is about 6.27e9 here, so pairing must compare relative to x2
+    report = find_h_roots(0.1, 10)
+    assert report.count == 3
+    ((x0, x2),) = report.pairs
+    assert (x0, x2) == (report.roots[0].x, report.roots[2].x)
+    assert x2 > 6e9
+    assert abs(f_scalar(x0, 0.1, 10) / x2 - 1.0) <= 1e-14
+
+
 def test_find_h_roots_at_critical_activity():
     # exactly at the threshold the three roots collapse below the certifiable
     # separation; the report says so instead of inventing distinct roots

@@ -82,6 +82,8 @@ def test_structural_invariants(k, n):
             assert width == k
         else:
             assert width == 0
+        assert children(tree, v) == tuple(
+            int(u) for u in np.nonzero(tree.parent == v)[0])
     for x, y in edges(tree):
         assert tree.generation[y] == tree.generation[x] + 1
     assert len(edges(tree)) == tree.n_vertices - 1
