@@ -7,9 +7,10 @@ marginalisation check that decides whether a per-vertex field assignment
 produces a compatible family of measures.
 
 This module is the brute-force oracle for the analytic machinery in the rest
-of the package, so it favours exactness over asymptotics: measures are
-enumerated configuration by configuration (guarded by ENUMERATION_GUARD),
-weights are assembled in log space, and the partition sum adds terms in
+of the package, so it favours exactness over asymptotics: measures cover
+every configuration (guarded by ENUMERATION_GUARD), weights are assembled
+in log space once per distinct (monochromatic edge count, boundary digits)
+cell, and the partition sum still adds every configuration's weight in
 ascending order.
 
 Conventions
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import FiniteTree, build_tree, edges, sphere
+from .tree import FiniteTree, build_tree, sphere
 
 # hard ceiling on q**|V_n| for exhaustive enumeration
 ENUMERATION_GUARD = 20_000_000
@@ -202,28 +203,55 @@ def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.n
     return fields
 
 
+@lru_cache(maxsize=16)
+def _ball(k: int, depth: int) -> FiniteTree:
+    """The radius-``depth`` tree, built once per shape for the oracle."""
+    return build_tree(k, depth)
+
+
 @lru_cache(maxsize=8)
 def _enum_tables(k: int, depth: int, q: int):
-    """Per-(tree, q) enumeration tables: monochromatic edge counts for every
-    configuration and the boundary-digit group index.  Cached because the
-    consistency oracle revisits the same tree many times."""
-    tree = build_tree(k, depth)
-    total = q**tree.n_vertices
+    """Per-(tree, q) enumeration tables, cached because the consistency
+    oracle revisits the same tree many times.
+
+    A configuration's weight depends only on its monochromatic edge count
+    and its boundary digits, so finite_volume_measure evaluates each weight
+    once per distinct (mono, boundary-group) cell and spreads it over the
+    cell's configurations.  Returns the occupied cells' mono counts and
+    group indices, how many configurations each cell holds, and every
+    configuration's cell index (int32, in base-q index order).  The counts
+    are built from broadcast digit patterns, one vertex at a time, with no
+    integer division over the q**N indices."""
+    tree = _ball(k, depth)
+    n = tree.n_vertices
+    total = q**n
     if total > ENUMERATION_GUARD:
         raise EnumerationLimitError(
-            f"enumeration guard exceeded: q^|V_n| = {q}^{tree.n_vertices} "
+            f"enumeration guard exceeded: q^|V_n| = {q}^{n} "
             f"= {total} > {ENUMERATION_GUARD}")
-    idx = np.arange(total, dtype=np.int64)
-    mono = np.zeros(total, dtype=np.int16)
-    for p, c in edges(tree):
-        dp = (idx // q**p) % q
-        dc = (idx // q**c) % q
-        mono += dp == dc
-    interior = q ** (tree.n_vertices - len(sphere(tree, depth)))
-    group = (idx // interior).astype(np.int32)
-    mono.setflags(write=False)
-    group.setflags(write=False)
-    return mono, group
+    # vertex v is digit v, so appending it multiplies the table by q; its
+    # parent's digit is the middle axis of the table so far (int8 holds
+    # every count: the guard keeps n at most 24)
+    eye = np.eye(q, dtype=np.int8).reshape(q, 1, q, 1)
+    mono = np.zeros(q, dtype=np.int8)
+    for v in range(1, n):
+        p = int(tree.parent[v])
+        mono = (mono.reshape(1, q ** (v - 1 - p), q, q**p) + eye).reshape(-1)
+    # the boundary generation holds the most significant digits
+    n_groups = q ** len(sphere(tree, depth))
+    key = (mono.reshape(n_groups, -1)
+           + np.arange(0, n_groups * n, n, dtype=np.int32)[:, None]).reshape(-1)
+    del mono
+    counts = np.bincount(key, minlength=n_groups * n)
+    occupied = np.flatnonzero(counts)
+    to_cell = np.zeros(n_groups * n, dtype=np.int32)
+    to_cell[occupied] = np.arange(len(occupied), dtype=np.int32)
+    cell = to_cell[key]
+    cell_group, cell_mono = np.divmod(occupied, n)
+    tables = (cell_mono, cell_group, counts[occupied], cell)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,23 +290,25 @@ def finite_volume_measure(tree: FiniteTree, boundary_fields,
     if not np.isfinite(H).all():
         raise ValueError("boundary field components must be finite")
 
-    mono, group = _enum_tables(tree.k, tree.depth, q)
+    cell_mono, cell_group, counts, cell = _enum_tables(tree.k, tree.depth, q)
 
-    # weight table over the boundary digits alone, then one gather
-    n_groups = q ** len(boundary)
-    gidx = np.arange(n_groups, dtype=np.int64)
-    table = np.zeros(n_groups)
+    # weight table over the boundary digits alone, one digit at a time
+    table = np.zeros(1)
     for j in range(len(boundary)):
         full = np.append(H[j], 0.0)  # gauge component for state q
-        table += full[(gidx // q**j) % q]
+        table = (full[:, None] + table).reshape(-1)
 
-    logw = math.log(params.theta) * mono + table[group]
+    # one weight per cell: every configuration in a cell gets these bits
+    logw = math.log(params.theta) * cell_mono + table[cell_group]
     if not np.isfinite(logw).all():
         raise ValueError("non-finite configuration weight")
     logw -= logw.max()
     w = np.exp(logw)
-    z = float(np.sort(w).sum())  # ascending order, stable
-    probs = w / z
+    # every configuration's weight in ascending order, as np.sort would
+    # give them, so the sum is stable and independent of the cell layout
+    order = np.argsort(w)
+    z = float(np.repeat(w[order], counts[order]).sum())
+    probs = (w / z)[cell]
     probs.setflags(write=False)
     return MeasureTable(probs=probs, tree=tree, q=q)
 
@@ -306,7 +336,7 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
     inner = sphere(tree, tree.depth - 1)
     mu_n = finite_volume_measure(tree, F[outer], params)
 
-    sub = build_tree(tree.k, tree.depth - 1)
+    sub = _ball(tree.k, tree.depth - 1)
     mu_prev = finite_volume_measure(sub, F[inner], params)
 
     block = q**sub.n_vertices

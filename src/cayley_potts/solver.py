@@ -174,7 +174,9 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     Below theta_cr(k) the count is 3: the fixed point x = 1 plus a two-cycle
     pair (x0, x2) with x0 < 1 < x2 and f(x0) = x2.  Roots closer together
     than 1e-7 relative are merged and flagged "near-degenerate"; a scan whose
-    first or last grid value has the wrong sign flags "domain-edge".
+    first or last grid value has the wrong sign flags "domain-edge".  From
+    theta_cr on only x = 1 is kept, flagged "near-degenerate" if the scan
+    found anything beside it.
     """
     if not (math.isfinite(theta) and 0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
@@ -270,6 +272,13 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
                 continue
         settled.append(entry)
     merged = settled
+
+    # from theta_cr on, x = 1 is the only root; anything the merges left
+    # beside it is a noise crossing of the flat h around the fixed point
+    if theta >= t_cr and len(merged) > 1:
+        merged = [entry for entry in merged if entry[0] == 1.0]
+        if "near-degenerate" not in flags:
+            flags.append("near-degenerate")
 
     roots = tuple(
         RootEntry(x=root, residual=res, bracket=xb,

@@ -37,11 +37,16 @@ def test_roots_text_below_threshold(capsys):
     assert lines[-1] == "flags: (none)"
 
 
-def test_python_m_entry_point_matches_readme():
-    command = "roots --k 3 --theta 0.1"
+def readme_transcript(command: str) -> bytes:
+    """The README's output block for ``$ cayley-potts COMMAND``."""
     readme = (ROOT / "README.md").read_text(encoding="ascii")
     block = readme.split(f"$ cayley-potts {command}\n", 1)[1]
-    transcript = block.split("```", 1)[0].encode("ascii")
+    return block.split("```", 1)[0].encode("ascii")
+
+
+def test_python_m_entry_point_matches_readme():
+    command = "roots --k 3 --theta 0.1"
+    transcript = readme_transcript(command)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
@@ -151,6 +156,13 @@ def test_verify_passes_on_recursed_fields(capsys):
     assert lines[0].startswith("verify: k=2 q=3 n=2 theta=0.5 trials=3")
     assert sum(1 for ln in lines if ln.lstrip().startswith("trial")) == 3
     assert lines[-1] == "PASS (tolerance 1e-10)"
+
+
+def test_verify_matches_readme(capsys):
+    command = "verify --k 2 --n 2 --theta 0.5 --trials 3"
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert out.encode("ascii") == readme_transcript(command)
 
 
 def test_verify_fails_on_perturbed_field(capsys):

@@ -240,6 +240,38 @@ def test_measure_matches_independent_oracle():
     assert np.max(np.abs(table.probs - np.array(expected))) <= 1e-12
 
 
+def naive_measure(tree, boundary_fields, params):
+    """Configuration-by-configuration weights, summed with np.sort: the
+    arithmetic finite_volume_measure must reproduce bit for bit."""
+    q, n = params.q, tree.n_vertices
+    idx = np.arange(q**n, dtype=np.int64)
+    digit = [(idx // q**v) % q for v in range(n)]
+    mono = np.zeros(q**n, dtype=np.int64)
+    for v in range(1, n):
+        mono += digit[int(tree.parent[v])] == digit[v]
+    boundary = np.zeros(q**n)
+    for row, v in enumerate(sphere(tree, tree.depth)):
+        boundary += np.append(boundary_fields[row], 0.0)[digit[v]]
+    logw = math.log(params.theta) * mono + boundary
+    logw -= logw.max()
+    w = np.exp(logw)
+    return w / float(np.sort(w).sum())
+
+
+@pytest.mark.parametrize("k,q,n", [(2, 3, 0), (5, 4, 0), (1, 2, 6),
+                                   (1, 3, 3), (2, 2, 2), (2, 3, 2),
+                                   (3, 2, 2), (2, 4, 1), (2, 5, 1)])
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+def test_measure_bit_identical_to_naive_enumeration(k, q, n, theta):
+    tree = build_tree(k, n)
+    params = ModelParams.from_theta(k, q, theta)
+    rng = np.random.default_rng([k, q, n])
+    H = rng.uniform(-2.0, 2.0, size=(len(sphere(tree, n)), q - 1))
+    table = finite_volume_measure(tree, H, params)
+    assert np.array_equal(table.probs, naive_measure(tree, H, params))
+    assert not table.probs.flags.writeable
+
+
 def test_measure_permutation_equivariance():
     # relabeling the spin states and the field components together leaves
     # every probability unchanged

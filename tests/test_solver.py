@@ -169,6 +169,19 @@ def test_find_h_roots_at_critical_activity():
     assert "near-degenerate" in report.flags
 
 
+@pytest.mark.parametrize("k", [50, 100, 400])
+def test_find_h_roots_single_root_from_critical_activity(k):
+    # for large k, h is flat enough around x = 1 at and just above theta_cr
+    # that the scan reports hundreds of noise crossings; only x = 1 is real
+    t_cr = theta_cr(k)
+    for theta in (t_cr, math.nextafter(t_cr, 1.0), t_cr * (1 + 1e-9)):
+        report = find_h_roots(theta, k)
+        assert [e.x for e in report.roots] == [1.0]
+        assert report.roots[0].kind == KIND_TRANSLATION_INVARIANT
+        assert report.pairs == ()
+        assert "near-degenerate" in report.flags
+
+
 def test_find_h_roots_count_monotonicity():
     for k in (3, 4, 5):
         t_cr = theta_cr(k)
