@@ -12,7 +12,7 @@ from .potts import (Configuration, ENUMERATION_GUARD, EnumerationLimitError,
                     MeasureTable, ModelParams, check_consistency,
                     config_at, config_index, f_map, finite_volume_measure,
                     hamiltonian, propagate_fields)
-from .period2 import (DomainError, ThetaDomain, clamp_to_domain,
+from .period2 import (DomainError, clamp_to_domain,
                       descartes_positive_root_bound, domain_bounds, f_scalar,
                       g_scalar, h_prime, h_scalar, p_coefficients,
                       period2_map, sign_relation_check, theta_cr)
@@ -31,7 +31,7 @@ __all__ = [
     "MeasureTable", "ModelParams", "check_consistency", "config_at",
     "config_index", "f_map", "finite_volume_measure", "hamiltonian",
     "propagate_fields",
-    "DomainError", "ThetaDomain", "clamp_to_domain",
+    "DomainError", "clamp_to_domain",
     "descartes_positive_root_bound", "domain_bounds", "f_scalar", "g_scalar",
     "h_prime", "h_scalar", "p_coefficients", "period2_map",
     "sign_relation_check", "theta_cr",

@@ -23,11 +23,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .period2 import (DomainError, domain_bounds, f_scalar, period2_map,
-                      sign_relation_check, theta_cr)
+from .period2 import DomainError, period2_map, sign_relation_check
 from .potts import (EnumerationLimitError, ModelParams, check_consistency,
                     propagate_fields)
-from .scan import emit_csv, emit_json, row_from_report, scan_theta
+from .scan import (_write_bytes, emit_csv, emit_json, row_from_report,
+                   scan_theta)
 from .solver import BisectionError, find_h_roots, fixed_point_iterate
 from .tree import build_tree, level_sizes, sphere
 
@@ -62,11 +62,7 @@ def _resolve_theta(args) -> float:
 
 
 def _emit_text(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_bytes(args.out or sys.stdout, text.encode("ascii"))
 
 
 def _require_antiferromagnetic(theta: float) -> None:

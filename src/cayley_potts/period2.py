@@ -22,7 +22,6 @@ roots by Descartes' rule.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,16 +44,18 @@ def theta_cr(k: int) -> float:
     return (k - 2) / (k + 1)
 
 
-class ThetaDomain(NamedTuple):
-    theta_1: float
-    theta_2: float
-
-
-def domain_bounds(theta: float, k: int) -> ThetaDomain:
-    """Endpoints ((theta+1)/2)^k and theta^-k of the interval where the
-    inverse map g stays positive.  For theta < 1 they straddle 1."""
+def domain_bounds(theta: float, k: int) -> tuple[float, float]:
+    """Endpoints (theta_1, theta_2) = (((theta+1)/2)^k, theta^-k) of the
+    interval where the inverse map g stays positive.  For theta < 1 they
+    straddle 1.  Raises OverflowError when an endpoint leaves the float
+    range (theta^-k for small theta and large k)."""
     _check_theta_k(theta, k)
-    return ThetaDomain(((theta + 1.0) / 2.0) ** k, theta ** (-k))
+    try:
+        return ((theta + 1.0) / 2.0) ** k, theta ** (-k)
+    except OverflowError:
+        raise OverflowError(f"domain endpoints ((theta+1)/2)^k and theta^-k "
+                            f"leave the float range at theta={theta!r}, "
+                            f"k={k}") from None
 
 
 def clamp_to_domain(x: float, theta: float, k: int,
@@ -152,21 +153,28 @@ def f_scalar(x: float, theta: float, k: int) -> float:
     return (((theta + 1.0) * x + 1.0) / (2.0 * x + theta)) ** k
 
 
-def _kth_root(x: float, k: int) -> float:
-    # exp(ln x / k) stays accurate across the many decades the domain spans
-    return math.exp(math.log(x) / k)
+def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:
+    """u = x^(1/k) and the two factors 1 - theta u and 2u - theta - 1 of g.
 
-
-def _check_g_domain(x: float, theta: float, k: int) -> None:
+    Both factors are positive exactly on the open interval
+    (theta_1, theta_2), so their signs are the domain check and no endpoint
+    (theta^-k can overflow) is ever computed."""
     _check_theta_k(theta, k)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if theta >= 1.0:
         raise DomainError(f"inverse map needs theta < 1, got theta={theta!r}")
-    lo, hi = domain_bounds(theta, k)
-    if not lo < x < hi:
+    if x <= 0.0:
+        raise DomainError(f"x must be positive, got {x!r}")
+    # exp(ln x / k) stays accurate across the many decades the domain spans
+    u = math.exp(math.log(x) / k)
+    num = 1.0 - theta * u
+    den = 2.0 * u - theta - 1.0
+    if num <= 0.0 or den <= 0.0:
         raise DomainError(f"x={x!r} outside the open interval "
-                          f"({lo!r}, {hi!r})")
+                          f"(((theta+1)/2)^k, theta^-k) at theta={theta!r}, "
+                          f"k={k}")
+    return u, num, den
 
 
 def g_scalar(x: float, theta: float, k: int) -> float:
@@ -175,13 +183,7 @@ def g_scalar(x: float, theta: float, k: int) -> float:
 
     Both factors are positive exactly on the open interval; g decreases
     from +infinity at theta_1 to 0 at theta_2."""
-    _check_g_domain(x, theta, k)
-    u = _kth_root(x, k)
-    num = 1.0 - theta * u
-    den = 2.0 * u - theta - 1.0
-    if num <= 0.0 or den <= 0.0:
-        # x is mathematically interior but u rounded onto an endpoint
-        raise DomainError(f"x={x!r} rounds onto a domain endpoint")
+    _, num, den = _g_factors(x, theta, k)
     return num / den
 
 
@@ -191,12 +193,7 @@ def h_scalar(x: float, theta: float, k: int) -> float:
     h(1) = 0 up to rounding; roots of h are the scalar two-cycles of f
     together with the fixed point x = 1.  h falls to -infinity at theta_1
     and climbs to +infinity at theta_2."""
-    _check_g_domain(x, theta, k)
-    u = _kth_root(x, k)
-    num_g = 1.0 - theta * u
-    den_g = 2.0 * u - theta - 1.0
-    if num_g <= 0.0 or den_g <= 0.0:
-        raise DomainError(f"x={x!r} rounds onto a domain endpoint")
+    _, num_g, den_g = _g_factors(x, theta, k)
     ratio_f = ((theta + 1.0) * x + 1.0) / (2.0 * x + theta)
     return k * math.log(ratio_f) - (math.log(num_g) - math.log(den_g))
 
@@ -210,12 +207,7 @@ def h_prime(x: float, theta: float, k: int) -> float:
 
     with u = x^(1/k) and x^((k-1)/k) computed as x/u.  Shares g's domain.
     Negative at x = 1 exactly when theta < theta_cr(k)."""
-    _check_g_domain(x, theta, k)
-    u = _kth_root(x, k)
-    num_g = 1.0 - theta * u
-    den_g = 2.0 * u - theta - 1.0
-    if num_g <= 0.0 or den_g <= 0.0:
-        raise DomainError(f"x={x!r} rounds onto a domain endpoint")
+    u, num_g, den_g = _g_factors(x, theta, k)
     term_f = k * k / (((theta + 1.0) * x + 1.0) * (2.0 * x + theta))
     term_g = 1.0 / ((x / u) * den_g * num_g)
     return (theta - 1.0) * (theta + 2.0) / k * (term_f - term_g)
@@ -230,10 +222,8 @@ def p_coefficients(theta: float, k: int) -> dict[int, float]:
                + k^2 (theta+1) y^(k-1) + theta
 
     Exactly five terms; for k >= 3 the five degrees are distinct."""
-    if not isinstance(k, (int, np.integer)) or k < 3:
-        raise ValueError(f"k must be an integer >= 3, got {k!r}")
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    theta_cr(k)  # validates k >= 3
+    _check_theta_k(theta, k)
     return {
         2 * k: 2.0 * (theta + 1.0),
         k + 1: 2.0 * theta * k * k,

@@ -109,14 +109,28 @@ def test_roots_rejects_bad_parameters(capsys):
     assert run(capsys, "roots", "--k", "3")[0] == 1  # no activity given
 
 
-def test_roots_out_file_matches_stdout(capsys, tmp_path):
-    target = tmp_path / "roots.json"
-    code, _, _ = run(capsys, "roots", "--k", "3", "--theta", "0.1",
-                     "--format", "json", "--out", str(target))
+@pytest.mark.parametrize("argv", [
+    ("roots", "--k", "3", "--theta", "0.1", "--format", "text"),
+    ("roots", "--k", "3", "--theta", "0.1", "--format", "json"),
+    ("roots", "--k", "3", "--theta", "0.1", "--format", "csv"),
+    ("scan", "--k", "3", "--theta", "0.1:0.4:2", "--format", "csv"),
+], ids=["roots-text", "roots-json", "roots-csv", "scan-csv"])
+def test_roots_out_file_matches_stdout(capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--out", str(target))
     assert code == 0
-    _, out, _ = run(capsys, "roots", "--k", "3", "--theta", "0.1",
-                    "--format", "json")
-    assert target.read_text(encoding="ascii") == out
+    _, out, _ = run(capsys, *argv)
+    assert target.read_bytes() == out.encode("ascii")
+
+
+@pytest.mark.parametrize("k, theta", [("200", "0.01"), ("3", "5e-324")])
+def test_roots_domain_overflow_is_named(capsys, k, theta):
+    # theta^-k leaves the float range at both settings; the message says so
+    code, _, err = run(capsys, "roots", "--k", k, "--theta", theta)
+    assert code == 2
+    assert err.startswith("numerical failure: domain endpoints")
+    assert "theta^-k" in err
+    assert f"theta={float(theta)!r}, k={k}" in err
 
 
 # ------------------------------------------------------------------- scan

@@ -203,6 +203,23 @@ def test_g_domain_errors():
         g_scalar(t2 * 1.01, 0.1, 3)
     with pytest.raises(DomainError):
         g_scalar(1.0, 1.2, 3)  # g needs the antiferromagnetic regime
+    with pytest.raises(DomainError):
+        g_scalar(0.0, 0.1, 3)
+    with pytest.raises(DomainError):
+        g_scalar(-1.0, 0.1, 3)
+    with pytest.raises(ValueError) as info:
+        g_scalar(math.nan, 0.1, 3)
+    assert not isinstance(info.value, DomainError)
+
+
+def test_kernel_needs_no_theta_power():
+    # theta^-k = 1e400 leaves the float range, but x = 1 lies deep inside
+    # the domain and g, h, h' there need no endpoint
+    theta, k = 0.01, 200
+    assert g_scalar(1.0, theta, k) == pytest.approx(1.0, rel=1e-15)
+    assert abs(h_scalar(1.0, theta, k)) <= 1e-15
+    slope = h_prime(1.0, theta, k)
+    assert math.isfinite(slope) and slope < 0  # theta < theta_cr(200)
 
 
 def test_h_root_at_one_and_golden():
