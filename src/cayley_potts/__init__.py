@@ -3,42 +3,49 @@
 Exact finite-volume measures and compatibility oracles for the q-state
 model, the parity-alternating (period-2) fixed-point structure for three
 states, deterministic root enumeration, and activity sweeps.
+
+Public names are loaded on first use (PEP 562), so the scalar period-2,
+solver and scan paths never import numpy; ``tree`` and ``potts`` do.
 """
 
-from .tree import (FiniteTree, TreeSizeError, MAX_VERTICES, ball_size,
-                   build_tree, children, edges, level_sizes, sphere,
-                   sphere_size)
-from .potts import (Configuration, ENUMERATION_GUARD, EnumerationLimitError,
-                    MeasureTable, ModelParams, check_consistency,
-                    config_at, config_index, f_map, finite_volume_measure,
-                    hamiltonian, propagate_fields)
-from .period2 import (DomainError, clamp_to_domain,
-                      descartes_positive_root_bound, domain_bounds, f_scalar,
-                      g_scalar, h_prime, h_scalar, p_coefficients,
-                      period2_map, sign_relation_check, theta_cr)
-from .solver import (BisectionError, Bracket, FixedPointResult, RootEntry,
-                     RootReport, bisect, find_h_roots, fixed_point_iterate,
-                     scan_brackets)
-from .scan import (CSV_HEADER, ScanRow, emit_csv, emit_json, parse_csv,
-                   row_from_report, scan_theta)
+import importlib
+
+_EXPORTS = {
+    "tree": ("FiniteTree", "TreeSizeError", "MAX_VERTICES", "ball_size",
+             "build_tree", "children", "edges", "level_sizes", "sphere",
+             "sphere_size"),
+    "potts": ("Configuration", "ENUMERATION_GUARD", "EnumerationLimitError",
+              "MeasureTable", "ModelParams", "check_consistency", "config_at",
+              "config_index", "f_map", "finite_volume_measure", "hamiltonian",
+              "propagate_fields"),
+    "period2": ("DomainError", "clamp_to_domain",
+                "descartes_positive_root_bound", "domain_bounds", "f_scalar",
+                "g_scalar", "h_prime", "h_scalar", "p_coefficients",
+                "period2_map", "sign_relation_check", "theta_cr"),
+    "solver": ("BisectionError", "Bracket", "FixedPointResult", "RootEntry",
+               "RootReport", "bisect", "find_h_roots", "fixed_point_iterate",
+               "scan_brackets"),
+    "scan": ("CSV_HEADER", "ScanRow", "emit_csv", "emit_json", "parse_csv",
+             "row_from_report", "scan_theta"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FiniteTree", "TreeSizeError", "MAX_VERTICES", "ball_size", "build_tree",
-    "children", "edges", "level_sizes", "sphere", "sphere_size",
-    "Configuration", "ENUMERATION_GUARD", "EnumerationLimitError",
-    "MeasureTable", "ModelParams", "check_consistency", "config_at",
-    "config_index", "f_map", "finite_volume_measure", "hamiltonian",
-    "propagate_fields",
-    "DomainError", "clamp_to_domain",
-    "descartes_positive_root_bound", "domain_bounds", "f_scalar", "g_scalar",
-    "h_prime", "h_scalar", "p_coefficients", "period2_map",
-    "sign_relation_check", "theta_cr",
-    "BisectionError", "Bracket", "FixedPointResult", "RootEntry",
-    "RootReport", "bisect", "find_h_roots", "fixed_point_iterate",
-    "scan_brackets",
-    "CSV_HEADER", "ScanRow", "emit_csv", "emit_json", "parse_csv",
-    "row_from_report", "scan_theta",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule also binds it here, so this runs once
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

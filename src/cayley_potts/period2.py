@@ -22,8 +22,11 @@ roots by Descartes' rule.
 from __future__ import annotations
 
 import math
+from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DomainError(ValueError):
@@ -31,7 +34,9 @@ class DomainError(ValueError):
 
 
 def _check_theta_k(theta: float, k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    # int first: this runs on every h call, and the Integral check (which
+    # also admits numpy integers) is an ABC lookup about 20x slower
+    if not (isinstance(k, int) or isinstance(k, Integral)) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
@@ -39,7 +44,7 @@ def _check_theta_k(theta: float, k: int) -> None:
 
 def theta_cr(k: int) -> float:
     """Critical activity (k-2)/(k+1); the period-2 theory needs k >= 3."""
-    if not isinstance(k, (int, np.integer)) or k < 3:
+    if not (isinstance(k, int) or isinstance(k, Integral)) or k < 3:
         raise ValueError(f"k must be an integer >= 3, got {k!r}")
     return (k - 2) / (k + 1)
 
@@ -50,6 +55,9 @@ def domain_bounds(theta: float, k: int) -> tuple[float, float]:
     straddle 1.  Raises OverflowError when an endpoint leaves the float
     range (theta^-k for small theta and large k)."""
     _check_theta_k(theta, k)
+    # plain floats overflow with an OverflowError; numpy scalars would
+    # return inf with a warning instead
+    theta, k = float(theta), int(k)
     try:
         return ((theta + 1.0) / 2.0) ** k, theta ** (-k)
     except OverflowError:
@@ -90,6 +98,8 @@ def period2_map(z, theta: float, k: int) -> np.ndarray:
     All denominators are positive for positive input, so the map is total;
     a component that leaves the float range (inf, or 0) raises OverflowError.
     """
+    import numpy as np
+
     _check_theta_k(theta, k)
     z = np.asarray(z, dtype=float)
     if z.shape != (4,):
@@ -127,6 +137,8 @@ def sign_relation_check(z_in, z_out, theta: float) -> tuple[bool, bool, bool]:
     Comparisons are non-strict on purpose: at boundary points (components
     equal, or equal to 1) both sides of an equivalence degenerate together.
     """
+    import numpy as np
+
     if not 0.0 < theta < 1.0:
         raise ValueError(f"sign relations hold for 0 < theta < 1, "
                          f"got theta={theta!r}")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
-import numpy as np
-
 from .period2 import theta_cr
-from .solver import BisectionError, RootReport, find_h_roots
+from .solver import BisectionError, RootReport, _linspace, find_h_roots
 
 CSV_HEADER = "k,theta,theta_cr,count,x0,x1,x2,flags"
 _OVERFLOW_PREFIX = "overflow:"
@@ -51,12 +50,12 @@ def scan_theta(k: int, theta_lo: float, theta_hi: float, steps: int,
     if not 0.0 < theta_lo < theta_hi < 1.0:
         raise ValueError(f"need 0 < theta_lo < theta_hi < 1, got "
                          f"[{theta_lo}, {theta_hi}]")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if (not (isinstance(steps, int) or isinstance(steps, Integral))
+            or steps < 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
 
     rows = []
-    for theta in np.linspace(theta_lo, theta_hi, num=steps):
-        theta = float(theta)
+    for theta in _linspace(theta_lo, theta_hi, steps):
         try:
             rows.append(row_from_report(find_h_roots(theta, k, grid=grid)))
         except (ValueError, ArithmeticError, BisectionError) as exc:

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
 CLAMP_MARGIN = 1e-9
@@ -61,6 +63,18 @@ class Bracket:
             raise ValueError("endpoint values must have opposite signs")
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 1 evenly spaced floats from lo to hi, bit for bit what
+    numpy.linspace(lo, hi, n) gives: i*step + lo, then hi exactly."""
+    lo, hi = float(lo), float(hi)
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    if step == 0.0:  # subnormal spacing: numpy scales by i/(n-1) instead
+        return [i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi]
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 class BisectionError(RuntimeError):
     """Refinement failed; carries the final bracket for diagnostics."""
 
@@ -82,14 +96,14 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if not isinstance(grid, (int, np.integer)) or grid < 2:
+    if not (isinstance(grid, int) or isinstance(grid, Integral)) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
 
-    xs = np.linspace(lo, hi, grid)
+    xs = _linspace(lo, hi, grid)
     vals = []
     for x in xs:
         try:
-            v = float(fn(float(x)))
+            v = float(fn(x))
         except DomainError:
             v = math.nan
         vals.append(v)
@@ -101,11 +115,10 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
     found = []
     for i in range(grid - 1):
         if vals[i] == 0.0 and i > 0 and signed(vals[i - 1], vals[i + 1]):
-            found.append(Bracket(float(xs[i - 1]), float(xs[i + 1]),
+            found.append(Bracket(xs[i - 1], xs[i + 1],
                                  vals[i - 1], vals[i + 1]))
         if signed(vals[i], vals[i + 1]):
-            found.append(Bracket(float(xs[i]), float(xs[i + 1]),
-                                 vals[i], vals[i + 1]))
+            found.append(Bracket(xs[i], xs[i + 1], vals[i], vals[i + 1]))
     return found
 
 
@@ -181,7 +194,7 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     if not (math.isfinite(theta) and 0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     t_cr = theta_cr(k)  # validates k >= 3
-    if not isinstance(grid, (int, np.integer)) or grid < 2:
+    if not (isinstance(grid, int) or isinstance(grid, Integral)) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
 
     t1, t2 = domain_bounds(theta, k)
@@ -261,9 +274,9 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     for entry in merged:
         if settled:
             prev = settled[-1]
-            probes = np.exp(np.linspace(math.log(prev[0]),
-                                        math.log(entry[0]), 15)[1:-1])
-            if all(abs(fn(x)) <= NOISE_FLOOR for x in probes):
+            probes = _linspace(math.log(prev[0]), math.log(entry[0]), 15)
+            if all(abs(fn(math.exp(t))) <= NOISE_FLOOR
+                   for t in probes[1:-1]):
                 if "near-degenerate" not in flags:
                     flags.append("near-degenerate")
                 if prev[0] != 1.0 and (entry[0] == 1.0
@@ -322,6 +335,8 @@ def fixed_point_iterate(map_fn: Callable[[np.ndarray], np.ndarray], z0,
     map so that cycle points become fixed points.  Non-convergence is
     reported via converged=False with the last iterate, not an exception.
     """
+    import numpy as np
+
     z = np.asarray(z0, dtype=float).copy()
     if z.ndim != 1 or not (np.isfinite(z).all() and (z > 0).all()):
         raise ValueError("z0 must be a vector of positive finite components")

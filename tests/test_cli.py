@@ -47,14 +47,36 @@ def readme_transcript(command: str) -> bytes:
 def test_python_m_entry_point_matches_readme():
     command = "roots --k 3 --theta 0.1"
     transcript = readme_transcript(command)
+    done = subprocess.run(
+        [sys.executable, "-m", "cayley_potts.cli", *command.split()],
+        capture_output=True, env=src_env(), timeout=120, check=False)
+    assert done.returncode == 0
+    assert done.stdout == transcript
+
+
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-    done = subprocess.run(
-        [sys.executable, "-m", "cayley_potts.cli", *command.split()],
-        capture_output=True, env=env, timeout=120, check=False)
-    assert done.returncode == 0
-    assert done.stdout == transcript
+    return env
+
+
+def test_roots_and_scan_never_import_numpy():
+    script = "\n".join([
+        "import sys",
+        "from cayley_potts import cli",
+        "codes = [cli.main(['roots', '--k', '3', '--theta', '0.1']),",
+        "         cli.main(['scan', '--k', '3', '--theta', '0.1:0.4:3']),",
+        "         cli.main(['roots', '--k', '3', '--theta', '1.5'])]",
+        "assert codes == [0, 0, 1], codes",
+        "assert 'numpy' not in sys.modules",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=src_env(), timeout=120, check=False)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (readme_transcript("roots --k 3 --theta 0.1")
+                           + readme_transcript("scan --k 3 --theta 0.1:0.4:3"))
+    assert done.stderr.startswith(b"error: activity must be below 1")
 
 
 def test_roots_text_above_threshold(capsys):

@@ -2,6 +2,7 @@
 the critical activity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_domain_bounds_values():
     t1, t2 = domain_bounds(0.1, 3)
     assert t1 == pytest.approx(0.55**3, rel=1e-15)
     assert t2 == pytest.approx(1000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta, k", [(0.01, 200), (0.01, np.int64(200)),
+                                      (np.float64(0.01), np.int32(200))],
+                         ids=["int", "np.int64", "np.float64-np.int32"])
+def test_domain_overflow_is_named_for_numpy_scalars(theta, k):
+    # numpy scalar powers return inf with a RuntimeWarning; the endpoints
+    # are computed on plain floats so every caller meets the same error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"theta=0\.01, k=200"):
+            domain_bounds(theta, k)
+        bounds = domain_bounds(np.float64(0.1), np.int64(3))
+    assert bounds == domain_bounds(0.1, 3)
+    assert all(type(b) is float for b in bounds)
 
 
 def test_domain_straddles_one():

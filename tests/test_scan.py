@@ -46,6 +46,13 @@ def test_scan_grid_is_monotone_and_unique():
     assert thetas[0] == 0.05 and thetas[-1] == pytest.approx(0.95)
 
 
+def test_scan_theta_column_is_numpy_linspace():
+    expected = [float(t) for t in np.linspace(0.05, 0.95, 19)]
+    assert [r.theta for r in k3_rows()] == expected
+    assert [r.theta for r in scan_theta(3, 0.3, 0.3 + 1e-12, 4)] == \
+        [float(t) for t in np.linspace(0.3, 0.3 + 1e-12, 4)]
+
+
 def test_scan_matches_root_reports():
     row = scan_theta(3, 0.1, 0.2, 1)[0]
     assert row == row_from_report(find_h_roots(0.1, 3))

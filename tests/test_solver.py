@@ -10,7 +10,7 @@ from cayley_potts.period2 import (DomainError, clamp_to_domain,
                                   period2_map, theta_cr)
 from cayley_potts.potts import ModelParams, check_consistency, propagate_fields
 from cayley_potts.solver import (KIND_PERIOD2, KIND_TRANSLATION_INVARIANT,
-                                 BisectionError, Bracket, bisect,
+                                 BisectionError, Bracket, _linspace, bisect,
                                  find_h_roots, fixed_point_iterate,
                                  scan_brackets)
 from cayley_potts.tree import build_tree, sphere
@@ -36,6 +36,26 @@ def test_bracket_validation():
         Bracket(1.0, 2.0, 1.0, 3.0)  # same sign
     with pytest.raises(ValueError):
         Bracket(1.0, 2.0, 0.0, 3.0)  # zero is not a sign
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 2001, 4001])
+def test_linspace_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(20 + n)
+    cases = [(0.0, 5e-324 * 3), (-1.0, 1.0), (1.0, math.nextafter(1.0, 2.0))]
+    for _ in range(60):
+        # endpoints across many decades, of either sign, wide or narrow
+        lo = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+        width = abs(lo) * 10.0 ** rng.uniform(-15, 3) or 1.0
+        cases.append((lo, lo + width))
+        cases.append(tuple(sorted(10.0 ** rng.uniform(-300, 300, size=2))))
+    for lo, hi in cases:
+        assert lo < hi
+        assert _bits(_linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n)), \
+            (lo, hi)
 
 
 def test_scan_brackets_line():
@@ -202,6 +222,13 @@ def test_find_h_roots_dual_method_agreement():
         x = f_scalar(f_scalar(x, THETA, K), THETA, K)
     report = find_h_roots(THETA, K)
     assert abs(x - report.roots[0].x) <= 1e-8
+
+
+def test_find_h_roots_numpy_integer_k_overflow_is_named():
+    # the same named error as a plain int, not a bracket built on inf
+    for k in (200, np.int64(200)):
+        with pytest.raises(OverflowError, match="leave the float range"):
+            find_h_roots(0.01, k)
 
 
 def test_find_h_roots_validation():
