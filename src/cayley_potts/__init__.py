@@ -14,17 +14,15 @@ _EXPORTS = {
     "tree": ("FiniteTree", "TreeSizeError", "MAX_VERTICES", "ball_size",
              "build_tree", "children", "edges", "level_sizes", "sphere",
              "sphere_size"),
-    "potts": ("Configuration", "ENUMERATION_GUARD", "EnumerationLimitError",
-              "MeasureTable", "ModelParams", "check_consistency", "config_at",
-              "config_index", "f_map", "finite_volume_measure", "hamiltonian",
+    "potts": ("ENUMERATION_GUARD", "EnumerationLimitError", "ModelParams",
+              "check_consistency", "f_map", "finite_volume_measure",
               "propagate_fields"),
-    "period2": ("DomainError", "clamp_to_domain",
-                "descartes_positive_root_bound", "domain_bounds", "f_scalar",
-                "g_scalar", "h_prime", "h_scalar", "p_coefficients",
-                "period2_map", "sign_relation_check", "theta_cr"),
-    "solver": ("BisectionError", "Bracket", "FixedPointResult", "RootEntry",
-               "RootReport", "bisect", "find_h_roots", "fixed_point_iterate",
-               "scan_brackets"),
+    "period2": ("DomainError", "descartes_positive_root_bound",
+                "domain_bounds", "f_scalar", "g_scalar", "h_prime",
+                "h_scalar", "p_coefficients", "period2_map",
+                "sign_relation_check", "theta_cr"),
+    "solver": ("BisectionError", "RootReport", "bisect", "find_h_roots",
+               "fixed_point_iterate", "scan_brackets"),
     "scan": ("CSV_HEADER", "ScanRow", "emit_csv", "emit_json", "parse_csv",
              "row_from_report", "scan_theta"),
 }

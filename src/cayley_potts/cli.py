@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing and dispatch.
 
 Subcommands:
 
@@ -10,20 +10,19 @@ Subcommands:
 
 The activity may be given directly (``--theta``) or as a coupling and
 inverse temperature (``--J`` with ``--beta``); exactly one form per call.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.  ``scan``
+renders the ``roots`` and ``scan`` outputs and writes every subcommand's.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from . import __version__
 from .period2 import period2_map, sign_relation_check
-from .scan import (_write_bytes, emit_csv, emit_json, row_from_report,
-                   scan_theta)
+from .scan import FORMATS, render_report, render_rows, scan_theta, write_text
 from .solver import BisectionError, find_h_roots, fixed_point_iterate
 
 # numpy, potts and tree are imported inside verify, orbit and tree-check, so
@@ -60,7 +59,7 @@ def _resolve_theta(args) -> float:
 
 
 def _emit_text(text: str, args) -> None:
-    _write_bytes(args.out or sys.stdout, text.encode("ascii"))
+    write_text(args.out or sys.stdout, text)
 
 
 def _require_antiferromagnetic(theta: float) -> None:
@@ -70,48 +69,10 @@ def _require_antiferromagnetic(theta: float) -> None:
             f"period-2 root analysis, got theta={theta:.12g}")
 
 
-def _report_payload(report) -> dict:
-    return {
-        "k": report.k, "theta": report.theta, "theta_cr": report.theta_cr,
-        "theta_1": report.theta_1, "theta_2": report.theta_2,
-        "count": report.count,
-        "roots": [{"x": e.x, "residual": e.residual, "kind": e.kind}
-                  for e in report.roots],
-        "pairs": [list(p) for p in report.pairs],
-        "flags": list(report.flags),
-    }
-
-
-def _render_report_text(report) -> str:
-    n_ti = sum(1 for e in report.roots if e.kind == "translation-invariant")
-    n_p2 = report.count - n_ti
-    lines = [
-        f"k={report.k}  theta={report.theta:.12g}  "
-        f"theta_cr={report.theta_cr:.12g}",
-        f"domain: ({report.theta_1:.12g}, {report.theta_2:.12g})",
-        f"count={report.count}: {n_ti} translation-invariant + "
-        f"{n_p2} period-2",
-    ]
-    for e in report.roots:
-        lines.append(f"  x = {e.x:<22.17g} |h(x)| = {e.residual:<12.3e} "
-                     f"{e.kind}")
-    for x0, x2 in report.pairs:
-        lines.append(f"orbit pair: f({x0:.12g}) = {x2:.12g}")
-    lines.append("flags: " + (";".join(report.flags) if report.flags
-                              else "(none)"))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_roots(args) -> int:
     theta = _resolve_theta(args)
     _require_antiferromagnetic(theta)
-    report = find_h_roots(theta, args.k, grid=args.grid)
-    if args.format == "text":
-        _emit_text(_render_report_text(report), args)
-    elif args.format == "json":
-        _emit_text(json.dumps(_report_payload(report), indent=2) + "\n", args)
-    else:
-        emit_csv([row_from_report(report)], args.out or sys.stdout)
+    _emit_text(render_report(find_h_roots(theta, args.k), args.format), args)
     return 0
 
 
@@ -126,25 +87,10 @@ def _parse_theta_range(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
-def _render_rows_text(rows) -> str:
-    lines = [f"{'k':>3} {'theta':>20} {'count':>5}  roots / flags"]
-    for r in rows:
-        roots = "  ".join(f"{x:.12g}" for x in r.roots) or "-"
-        flags = (" [" + ";".join(r.flags) + "]") if r.flags else ""
-        lines.append(f"{r.k:>3} {r.theta:>20.17g} {r.count:>5}  "
-                     f"{roots}{flags}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_scan(args) -> int:
     lo, hi, steps = _parse_theta_range(args.theta)
-    rows = scan_theta(args.k, lo, hi, steps, grid=args.grid)
-    if args.format == "csv":
-        emit_csv(rows, args.out or sys.stdout)
-    elif args.format == "json":
-        emit_json(rows, args.out or sys.stdout)
-    else:
-        _emit_text(_render_rows_text(rows), args)
+    _emit_text(render_rows(scan_theta(args.k, lo, hi, steps), args.format),
+               args)
     return 0
 
 
@@ -284,18 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="roots of h for one activity")
     p.add_argument("--k", type=int, required=True, help="tree order (>= 3)")
     _add_activity_args(p)
-    p.add_argument("--grid", type=int, default=4001)
-    p.add_argument("--format", choices=("text", "csv", "json"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("scan", help="sweep the activity over a range")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--theta", required=True, metavar="LO:HI:STEPS")
-    p.add_argument("--grid", type=int, default=4001)
-    p.add_argument("--format", choices=("text", "csv", "json"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
 

@@ -66,27 +66,6 @@ def domain_bounds(theta: float, k: int) -> tuple[float, float]:
                             f"k={k}") from None
 
 
-def clamp_to_domain(x: float, theta: float, k: int,
-                    margin: float = 1e-12) -> tuple[float, bool]:
-    """Pull x to at least the given relative margin inside (theta_1, theta_2).
-
-    Returns (possibly moved point, moved flag) so callers can tell an
-    endpoint blow-up apart from an interior value instead of meeting a
-    raised DomainError or an infinity.
-    """
-    lo, hi = domain_bounds(theta, k)
-    if not lo < hi:
-        raise DomainError(f"empty domain: theta_1={lo} >= theta_2={hi} "
-                          f"(needs theta < 1)")
-    a = lo * (1.0 + margin)
-    b = hi * (1.0 - margin)
-    if x < a:
-        return a, True
-    if x > b:
-        return b, True
-    return float(x), False
-
-
 def period2_map(z, theta: float, k: int) -> np.ndarray:
     """One application of the parity-swapped consistency map:
 

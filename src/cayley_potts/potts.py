@@ -1,6 +1,6 @@
 """Potts model on finite Cayley trees.
 
-Implements the q-state Hamiltonian, exact finite-volume probability measures
+Implements exact finite-volume probability measures of the q-state model
 with boundary log-weights on the outermost generation, the one-step
 boundary-field map and its bottom-up propagation, and an exhaustive
 marginalisation check that decides whether a per-vertex field assignment
@@ -117,21 +117,6 @@ def config_at(index: int, n_vertices: int, q: int) -> Configuration:
         index, digit = divmod(index, q)
         spins.append(digit + 1)
     return Configuration(spins=tuple(spins))
-
-
-def hamiltonian(tree: FiniteTree, config, params: ModelParams) -> float:
-    """Energy -J * (number of monochromatic edges) of one configuration."""
-    spins = np.asarray(
-        config.spins if isinstance(config, Configuration) else config,
-        dtype=np.int64)
-    if spins.shape != (tree.n_vertices,):
-        raise ValueError("configuration must assign one state per vertex")
-    if ((spins < 1) | (spins > params.q)).any():
-        raise ValueError(f"spin states must lie in 1..{params.q}")
-    if tree.n_vertices == 1:
-        return 0.0
-    mono = int(np.count_nonzero(spins[tree.parent[1:]] == spins[1:]))
-    return -params.J * mono
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Activity sweeps: root counts and locations as theta varies.
+"""Activity sweeps and every output format of ``roots`` and ``scan``.
 
-Rows are plain records meant for machine consumption.  The CSV emitter
-writes a fixed 8-column schema with 17-significant-digit decimals, so a
-file round-trips to the exact same floats; the JSON emitter mirrors the
-same field names with full root lists.  Both are deterministic byte for
-byte.
+Text, CSV and JSON all render here; a ``roots`` report's CSV is a one-row
+scan.  The CSV has a fixed 8-column schema with 17-significant-digit
+decimals, so a file round-trips to the exact same floats; the JSON mirrors
+its field names with full root lists.  Output is ASCII, deterministic byte
+for byte, and goes through one writer.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from numbers import Integral
 from pathlib import Path
 
 from .period2 import theta_cr
-from .solver import BisectionError, RootReport, _linspace, find_h_roots
+from .solver import (KIND_TRANSLATION_INVARIANT, BisectionError, RootReport,
+                     _linspace, find_h_roots)
 
 CSV_HEADER = "k,theta,theta_cr,count,x0,x1,x2,flags"
+FORMATS = ("text", "csv", "json")
 _OVERFLOW_PREFIX = "overflow:"
 
 
@@ -39,8 +41,8 @@ def row_from_report(report: RootReport) -> ScanRow:
                    pairs=report.pairs, flags=report.flags)
 
 
-def scan_theta(k: int, theta_lo: float, theta_hi: float, steps: int,
-               grid: int = 4001) -> list[ScanRow]:
+def scan_theta(k: int, theta_lo: float, theta_hi: float,
+               steps: int) -> list[ScanRow]:
     """One row per theta on the inclusive uniform grid [theta_lo, theta_hi].
 
     A failed row is recorded with an error flag and an empty root list,
@@ -57,7 +59,7 @@ def scan_theta(k: int, theta_lo: float, theta_hi: float, steps: int,
     rows = []
     for theta in _linspace(theta_lo, theta_hi, steps):
         try:
-            rows.append(row_from_report(find_h_roots(theta, k, grid=grid)))
+            rows.append(row_from_report(find_h_roots(theta, k)))
         except (ValueError, ArithmeticError, BisectionError) as exc:
             rows.append(ScanRow(k=k, theta=theta, theta_cr=t_cr, count=0,
                                 roots=(), pairs=(),
@@ -89,7 +91,9 @@ def _row_fields(row: ScanRow) -> list[str]:
             x0, x1, x2, ";".join(flags)]
 
 
-def _write_bytes(destination, data: bytes) -> None:
+def write_text(destination, text: str) -> None:
+    """Write ASCII text to a path, or to a text or binary stream."""
+    data = text.encode("ascii")
     if isinstance(destination, (str, Path)):
         Path(destination).write_bytes(data)
         return
@@ -99,27 +103,89 @@ def _write_bytes(destination, data: bytes) -> None:
     try:
         write(data)
     except TypeError:  # text-mode stream
-        write(data.decode("ascii"))
+        write(text)
+
+
+def _csv_text(rows) -> str:
+    lines = [CSV_HEADER] + [",".join(_row_fields(r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(rows) -> str:
+    payload = [{"k": r.k, "theta": r.theta, "theta_cr": r.theta_cr,
+                "count": r.count, "roots": list(r.roots),
+                "pairs": [list(p) for p in r.pairs],
+                "flags": list(r.flags)} for r in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _rows_text(rows) -> str:
+    lines = [f"{'k':>3} {'theta':>20} {'count':>5}  roots / flags"]
+    for r in rows:
+        roots = "  ".join(f"{x:.12g}" for x in r.roots) or "-"
+        flags = (" [" + ";".join(r.flags) + "]") if r.flags else ""
+        lines.append(f"{r.k:>3} {r.theta:>20.17g} {r.count:>5}  "
+                     f"{roots}{flags}")
+    return "\n".join(lines) + "\n"
+
+
+def _report_json(report: RootReport) -> str:
+    payload = {
+        "k": report.k, "theta": report.theta, "theta_cr": report.theta_cr,
+        "theta_1": report.theta_1, "theta_2": report.theta_2,
+        "count": report.count,
+        "roots": [{"x": e.x, "residual": e.residual, "kind": e.kind}
+                  for e in report.roots],
+        "pairs": [list(p) for p in report.pairs],
+        "flags": list(report.flags),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _report_text(report: RootReport) -> str:
+    n_ti = sum(1 for e in report.roots if e.kind == KIND_TRANSLATION_INVARIANT)
+    n_p2 = report.count - n_ti
+    lines = [
+        f"k={report.k}  theta={report.theta:.12g}  "
+        f"theta_cr={report.theta_cr:.12g}",
+        f"domain: ({report.theta_1:.12g}, {report.theta_2:.12g})",
+        f"count={report.count}: {n_ti} translation-invariant + "
+        f"{n_p2} period-2",
+    ]
+    for e in report.roots:
+        lines.append(f"  x = {e.x:<22.17g} |h(x)| = {e.residual:<12.3e} "
+                     f"{e.kind}")
+    for x0, x2 in report.pairs:
+        lines.append(f"orbit pair: f({x0:.12g}) = {x2:.12g}")
+    lines.append("flags: " + (";".join(report.flags) if report.flags
+                              else "(none)"))
+    return "\n".join(lines) + "\n"
+
+
+def render_rows(rows, fmt: str) -> str:
+    """Sweep rows in one of FORMATS."""
+    if not rows:
+        raise ValueError("no rows to emit")
+    render = {"text": _rows_text, "csv": _csv_text, "json": _json_text}[fmt]
+    return render(rows)
+
+
+def render_report(report: RootReport, fmt: str) -> str:
+    """One activity's roots in one of FORMATS; the CSV is a one-row scan."""
+    if fmt == "csv":
+        return _csv_text([row_from_report(report)])
+    return {"text": _report_text, "json": _report_json}[fmt](report)
 
 
 def emit_csv(rows, destination) -> None:
     """Write rows as CSV: header + one line per row, LF endings, 17
     significant digits per float."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    lines = [CSV_HEADER] + [",".join(_row_fields(r)) for r in rows]
-    _write_bytes(destination, ("\n".join(lines) + "\n").encode("ascii"))
+    write_text(destination, render_rows(rows, "csv"))
 
 
 def emit_json(rows, destination) -> None:
     """Same schema as the CSV, as a JSON array of row objects."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    payload = [{"k": r.k, "theta": r.theta, "theta_cr": r.theta_cr,
-                "count": r.count, "roots": list(r.roots),
-                "pairs": [list(p) for p in r.pairs],
-                "flags": list(r.flags)} for r in rows]
-    _write_bytes(destination, (json.dumps(payload, indent=2) + "\n").encode("ascii"))
+    write_text(destination, render_rows(rows, "json"))
 
 
 def parse_csv(source) -> list[ScanRow]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
 
@@ -161,7 +161,6 @@ def bisect(fn: Callable[[float], float], bracket: Bracket,
 class RootEntry:
     x: float
     residual: float           # |h(x)|
-    bracket: Optional[Bracket]
     kind: str                 # KIND_TRANSLATION_INVARIANT or KIND_PERIOD2
 
 
@@ -196,6 +195,8 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     t_cr = theta_cr(k)  # validates k >= 3
     if not (isinstance(grid, int) or isinstance(grid, Integral)) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+    # numpy scalars would carry numpy arithmetic into every h evaluation
+    theta, k, t_cr = float(theta), int(k), float(t_cr)
 
     t1, t2 = domain_bounds(theta, k)
     lo = t1 * (1.0 + CLAMP_MARGIN)
@@ -226,41 +227,28 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
         if a < b:
             windows.append((a, b, 2001))
 
-    found: list[tuple[float, float, Bracket]] = []
+    # the root at x = 1 is analytic (numerator and denominator of both
+    # ratios coincide there); inject it and drop scanned duplicates
+    kept = [(1.0, abs(fn(1.0)))]
     for a, b, n in windows:
         for tb in scan_brackets(fn_log, a, b, n):
             xb = Bracket(math.exp(tb.lo), math.exp(tb.hi), tb.f_lo, tb.f_hi)
             root = bisect(fn, xb, tol_x=0.0, tol_f=0.0, max_iter=200)
-            found.append((root, abs(fn(root)), xb))
-
-    # the root at x = 1 is analytic (numerator and denominator of both
-    # ratios coincide there); inject it and absorb scanned duplicates
-    one_bracket: Optional[Bracket] = None
-    kept: list[tuple[float, float, Optional[Bracket]]] = []
-    for root, res, xb in found:
-        if abs(root - 1.0) <= DEDUP_REL:
-            one_bracket = one_bracket or xb
-        else:
-            kept.append((root, res, xb))
-    kept.append((1.0, abs(fn(1.0)), one_bracket))
+            if abs(root - 1.0) > DEDUP_REL:
+                kept.append((root, abs(fn(root))))
     kept.sort(key=lambda e: e[0])
 
     # collapse duplicates from overlapping windows, then near-degenerate
-    # neighbours; prefer the injected 1.0, then the smaller residual
-    merged: list[tuple[float, float, Optional[Bracket]]] = []
+    # neighbours (flagged); prefer the injected 1.0, then the smaller residual
+    near_degenerate = False
+    merged: list[tuple[float, float]] = []
     for entry in kept:
         if merged:
             prev = merged[-1]
             gap = entry[0] - prev[0]
             scale = max(abs(entry[0]), abs(prev[0]))
-            if gap <= DEDUP_REL * scale:
-                if prev[0] != 1.0 and (entry[0] == 1.0
-                                       or entry[1] < prev[1]):
-                    merged[-1] = entry
-                continue
             if gap <= NEAR_DEGENERATE_REL * scale:
-                if "near-degenerate" not in flags:
-                    flags.append("near-degenerate")
+                near_degenerate |= gap > DEDUP_REL * scale
                 if prev[0] != 1.0 and (entry[0] == 1.0
                                        or entry[1] < prev[1]):
                     merged[-1] = entry
@@ -270,15 +258,14 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     # at the critical activity h is cubically flat at x = 1 and dips below
     # rounding noise over a finite span, turning one root into a pile of
     # noise crossings; absorb neighbours that h never separates
-    settled: list[tuple[float, float, Optional[Bracket]]] = []
+    settled: list[tuple[float, float]] = []
     for entry in merged:
         if settled:
             prev = settled[-1]
             probes = _linspace(math.log(prev[0]), math.log(entry[0]), 15)
             if all(abs(fn(math.exp(t))) <= NOISE_FLOOR
                    for t in probes[1:-1]):
-                if "near-degenerate" not in flags:
-                    flags.append("near-degenerate")
+                near_degenerate = True
                 if prev[0] != 1.0 and (entry[0] == 1.0
                                        or entry[1] < prev[1]):
                     settled[-1] = entry
@@ -290,14 +277,15 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     # beside it is a noise crossing of the flat h around the fixed point
     if theta >= t_cr and len(merged) > 1:
         merged = [entry for entry in merged if entry[0] == 1.0]
-        if "near-degenerate" not in flags:
-            flags.append("near-degenerate")
+        near_degenerate = True
+    if near_degenerate:
+        flags.append("near-degenerate")
 
     roots = tuple(
-        RootEntry(x=root, residual=res, bracket=xb,
+        RootEntry(x=root, residual=res,
                   kind=(KIND_TRANSLATION_INVARIANT if root == 1.0
                         else KIND_PERIOD2))
-        for root, res, xb in merged)
+        for root, res in merged)
 
     below = [e.x for e in roots if e.kind == KIND_PERIOD2 and e.x < 1.0]
     above = [e.x for e in roots if e.kind == KIND_PERIOD2 and e.x > 1.0]
@@ -312,7 +300,7 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
             pairs.append((x0, partner))
             unused.remove(partner)
 
-    return RootReport(theta=float(theta), k=int(k), theta_cr=t_cr,
+    return RootReport(theta=theta, k=k, theta_cr=t_cr,
                       theta_1=t1, theta_2=t2, roots=roots,
                       pairs=tuple(pairs), flags=tuple(flags))
 

@@ -181,6 +181,14 @@ def test_scan_rejects_bad_ranges(capsys):
     assert run(capsys, "scan", "--k", "3", "--theta", "0.1:2.0:5")[0] == 1
 
 
+def test_roots_and_scan_have_no_grid_option(capsys):
+    # the scan grid is fixed at 4001 points; the option is a usage error
+    assert run(capsys, "roots", "--k", "3", "--theta", "0.1",
+               "--grid", "4001")[0] == 1
+    assert run(capsys, "scan", "--k", "3", "--theta", "0.1:0.4:3",
+               "--grid", "4001")[0] == 1
+
+
 # ----------------------------------------------------------------- verify
 
 

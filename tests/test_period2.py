@@ -7,12 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from cayley_potts.period2 import (DomainError, clamp_to_domain,
+from cayley_potts.period2 import (DomainError,
                                   descartes_positive_root_bound,
                                   domain_bounds, f_scalar, g_scalar,
                                   h_prime, h_scalar, p_coefficients,
                                   period2_map, sign_relation_check,
                                   theta_cr)
+from helpers import clamp_to_domain
 
 # frozen extended-precision values (60 decimal digits, two methods agreeing)
 F_AT_2 = 0.4754428983909113        # f(2), theta=0.1, k=3

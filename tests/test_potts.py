@@ -8,10 +8,11 @@ import pytest
 from cayley_potts.potts import (ENUMERATION_GUARD, Configuration,
                                 EnumerationLimitError, ModelParams,
                                 check_consistency, config_at, config_index,
-                                f_map, finite_volume_measure, hamiltonian,
+                                f_map, finite_volume_measure,
                                 propagate_fields)
 from cayley_potts.period2 import period2_map
 from cayley_potts.tree import build_tree, edges, sphere
+from helpers import hamiltonian
 
 LN2 = math.log(2.0)
 

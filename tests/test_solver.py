@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from cayley_potts.period2 import (DomainError, clamp_to_domain,
-                                  domain_bounds, f_scalar, h_scalar,
-                                  period2_map, theta_cr)
+from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
+                                  h_scalar, period2_map, theta_cr)
 from cayley_potts.potts import ModelParams, check_consistency, propagate_fields
 from cayley_potts.solver import (KIND_PERIOD2, KIND_TRANSLATION_INVARIANT,
                                  BisectionError, Bracket, _linspace, bisect,
                                  find_h_roots, fixed_point_iterate,
                                  scan_brackets)
 from cayley_potts.tree import build_tree, sphere
+from helpers import clamp_to_domain
 
 X0_GOLDEN = 0.19649931210530602  # theta=0.1, k=3, 60-digit dual-method value
 X2_GOLDEN = 15.011479580653047
@@ -229,6 +229,38 @@ def test_find_h_roots_numpy_integer_k_overflow_is_named():
     for k in (200, np.int64(200)):
         with pytest.raises(OverflowError, match="leave the float range"):
             find_h_roots(0.01, k)
+
+
+def test_find_h_roots_numpy_scalars_give_the_plain_report():
+    # numpy arithmetic inside h would be slower and leave np.float64 residuals
+    assert repr(find_h_roots(0.1, np.int64(3))) == repr(find_h_roots(0.1, 3))
+    assert (repr(find_h_roots(np.float64(0.1), 3))
+            == repr(find_h_roots(0.1, 3)))
+
+
+# ------------------------------------------- known defects of the grid scan
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("k, theta", [(50, 0.5), (100, 0.01), (400, 0.5),
+                                      (1000, 0.9)])
+def test_find_h_roots_large_k_finds_the_pair(k, theta):
+    # the scan reports count 2 or 1 here, flagged domain-edge
+    report = find_h_roots(theta, k)
+    assert report.count == 3
+    assert len(report.pairs) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_find_h_roots_keeps_the_pair_just_below_theta_cr():
+    # mpmath at 60 digits puts x0 at 1 - 2.449e-5, far from merging into 1
+    assert find_h_roots(theta_cr(3) * (1 - 1e-10), 3).count == 3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_find_h_roots_obeys_descartes_bound_just_below_theta_cr():
+    # the scan returns a pile of noise crossings here
+    assert find_h_roots(theta_cr(50) * (1 - 1e-10), 50).count <= 3
 
 
 def test_find_h_roots_validation():
