@@ -4,8 +4,8 @@ Exact finite-volume measures and compatibility oracles for the q-state
 model, the parity-alternating (period-2) fixed-point structure for three
 states, deterministic root enumeration, and activity sweeps.
 
-Public names are loaded on first use (PEP 562), so the scalar period-2,
-solver and scan paths never import numpy; ``tree`` and ``potts`` do.
+Public names are loaded on first use (PEP 562), so the tree, scalar
+period-2, solver and scan paths never import numpy; ``potts`` does.
 """
 
 import importlib

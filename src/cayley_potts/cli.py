@@ -25,8 +25,8 @@ from .period2 import period2_map, sign_relation_check
 from .scan import FORMATS, render_report, render_rows, scan_theta, write_text
 from .solver import BisectionError, find_h_roots, fixed_point_iterate
 
-# numpy, potts and tree are imported inside verify, orbit and tree-check, so
-# roots and scan start without numpy
+# numpy and potts are imported inside verify and orbit, and tree inside
+# verify and tree-check, so roots and scan load none of them
 
 VERIFY_TOL = 1e-10
 
@@ -53,9 +53,18 @@ def _resolve_theta(args) -> float:
     if args.J is None or args.beta is None:
         raise ValueError("--J and --beta must be given together "
                          "(or use --theta)")
+    if not math.isfinite(args.J):
+        raise ValueError(f"--J must be finite, got {args.J}")
     if not (math.isfinite(args.beta) and args.beta > 0):
         raise ValueError(f"--beta must be positive and finite, got {args.beta}")
-    return math.exp(args.J * args.beta)
+    try:
+        theta = math.exp(args.J * args.beta)
+    except OverflowError:
+        theta = math.inf
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"activity exp(J*beta) is out of range for "
+                         f"--J {args.J} --beta {args.beta}")
+    return theta
 
 
 def _emit_text(text: str, args) -> None:
@@ -119,7 +128,7 @@ def cmd_verify(args) -> int:
         fields = propagate_fields(tree, leaf_fields, params)
         if args.perturb is not None:
             # negative control: knock one inner-boundary field off recursion
-            target = int(sphere(tree, args.n - 1)[0])
+            target = sphere(tree, args.n - 1)[0]
             fields[target, 0] += args.perturb
         violation = check_consistency(tree, fields, params)
         worst = max(worst, violation)
@@ -281,7 +290,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValueError as exc:  # DomainError, EnumerationLimitError too
+    # DomainError and EnumerationLimitError are ValueErrors; an OSError is
+    # an --out that cannot be opened
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BisectionError, ArithmeticError) as exc:

@@ -21,6 +21,10 @@ Conventions
   radius-(n-1) sub-ball is the remainder modulo q**|V_{n-1}|.
 * Boundary log-weight vectors live in R^{q-1}; the q-th component is
   gauge-fixed to zero and the measure adds an implicit 0 for state q.
+* The coupling J and inverse temperature beta enter only through the
+  activity theta = exp(J*beta), so ModelParams holds (k, q, theta).
+* The tree stores nothing per vertex: a generation is a contiguous index
+  range, so its rows of a field array are taken as a slice.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import FiniteTree, build_tree, sphere
+from .tree import FiniteTree, build_tree, edges, sphere
 
 # hard ceiling on q**|V_n| for exhaustive enumeration
 ENUMERATION_GUARD = 20_000_000
@@ -44,18 +48,16 @@ class EnumerationLimitError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model constants: tree order k, number of states q, coupling J,
-    inverse temperature beta, and the activity theta = exp(J*beta).
+    """Model constants: tree order k, number of states q and the activity
+    theta, the only form in which the coupling J and the inverse
+    temperature beta enter the measures (theta = exp(J*beta)).
 
     theta < 1 is the antiferromagnetic regime (J < 0), theta > 1
-    ferromagnetic.  Use the classmethods; they keep the activity identity
-    consistent by construction.
+    ferromagnetic.
     """
 
     k: int
     q: int
-    J: float
-    beta: float
     theta: float
 
     def __post_init__(self):
@@ -63,39 +65,34 @@ class ModelParams:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not isinstance(self.q, (int, np.integer)) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
-        if not math.isclose(self.theta, math.exp(self.J * self.beta),
-                            rel_tol=1e-12):
-            raise ValueError("theta must equal exp(J*beta); "
-                             "use from_theta or from_coupling")
 
     @classmethod
     def from_coupling(cls, k: int, q: int, J: float, beta: float) -> "ModelParams":
+        """Fold the coupling into the activity theta = exp(J*beta)."""
         J = float(J)
         beta = float(beta)
-        return cls(k=k, q=q, J=J, beta=beta, theta=math.exp(J * beta))
+        if not math.isfinite(J):
+            raise ValueError(f"J must be finite, got {J!r}")
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
+        try:
+            theta = math.exp(J * beta)
+        except OverflowError:
+            theta = math.inf
+        if not 0.0 < theta < math.inf:
+            raise ValueError(f"activity exp(J*beta) is out of range for "
+                             f"J={J!r}, beta={beta!r}")
+        return cls(k=k, q=q, theta=theta)
 
     @classmethod
     def from_theta(cls, k: int, q: int, theta: float) -> "ModelParams":
-        """Activity-first construction: beta = 1, J back-filled as ln(theta)."""
-        theta = float(theta)
-        if not (math.isfinite(theta) and theta > 0):
-            raise ValueError(f"theta must be positive and finite, got {theta!r}")
-        return cls(k=k, q=q, J=math.log(theta), beta=1.0, theta=theta)
+        return cls(k=k, q=q, theta=float(theta))
 
     @property
     def antiferromagnetic(self) -> bool:
         return self.theta < 1.0
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Spin assignment; spins[v] in 1..q for every vertex index v."""
-
-    spins: tuple[int, ...]
 
 
 def config_index(spins: Sequence[int], q: int) -> int:
@@ -108,15 +105,15 @@ def config_index(spins: Sequence[int], q: int) -> int:
     return idx
 
 
-def config_at(index: int, n_vertices: int, q: int) -> Configuration:
-    """Inverse of config_index."""
+def config_at(index: int, n_vertices: int, q: int) -> tuple[int, ...]:
+    """Inverse of config_index: the spins, state 1..q per vertex."""
     if not 0 <= index < q**n_vertices:
         raise ValueError(f"configuration index {index} out of range")
     spins = []
     for _ in range(n_vertices):
         index, digit = divmod(index, q)
         spins.append(digit + 1)
-    return Configuration(spins=tuple(spins))
+    return tuple(spins)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -178,20 +175,16 @@ def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.n
         raise ValueError("leaf field components must be finite")
 
     fields = np.empty((tree.n_vertices, q - 1))
-    fields[leaves] = leaf
+    fields[leaves.start:leaves.stop] = leaf
     # sphere m+1 lists the children of sphere m parent by parent, so one
-    # reshape groups each parent's siblings
+    # reshape groups each parent's siblings; a sphere is a contiguous
+    # index range, so its rows are a slice (a view, not a gathered copy)
     for m in range(tree.depth - 1, -1, -1):
-        parents = sphere(tree, m)
-        mapped = f_map(fields[sphere(tree, m + 1)], params)
-        fields[parents] = mapped.reshape(len(parents), -1, q - 1).sum(axis=1)
+        parents, kids = sphere(tree, m), sphere(tree, m + 1)
+        mapped = f_map(fields[kids.start:kids.stop], params)
+        fields[parents.start:parents.stop] = mapped.reshape(
+            len(parents), -1, q - 1).sum(axis=1)
     return fields
-
-
-@lru_cache(maxsize=16)
-def _ball(k: int, depth: int) -> FiniteTree:
-    """The radius-``depth`` tree, built once per shape for the oracle."""
-    return build_tree(k, depth)
 
 
 @lru_cache(maxsize=8)
@@ -207,7 +200,7 @@ def _enum_tables(k: int, depth: int, q: int):
     configuration's cell index (int32, in base-q index order).  The counts
     are built from broadcast digit patterns, one vertex at a time, with no
     integer division over the q**N indices."""
-    tree = _ball(k, depth)
+    tree = build_tree(k, depth)
     n = tree.n_vertices
     total = q**n
     if total > ENUMERATION_GUARD:
@@ -219,8 +212,7 @@ def _enum_tables(k: int, depth: int, q: int):
     # every count: the guard keeps n at most 24)
     eye = np.eye(q, dtype=np.int8).reshape(q, 1, q, 1)
     mono = np.zeros(q, dtype=np.int8)
-    for v in range(1, n):
-        p = int(tree.parent[v])
+    for p, v in edges(tree):
         mono = (mono.reshape(1, q ** (v - 1 - p), q, q**p) + eye).reshape(-1)
     # the boundary generation holds the most significant digits
     n_groups = q ** len(sphere(tree, depth))
@@ -251,11 +243,10 @@ class MeasureTable:
     def __len__(self) -> int:
         return len(self.probs)
 
-    def probability(self, config) -> float:
-        spins = config.spins if isinstance(config, Configuration) else config
+    def probability(self, spins: Sequence[int]) -> float:
         return float(self.probs[config_index(spins, self.q)])
 
-    def config_at(self, index: int) -> Configuration:
+    def config_at(self, index: int) -> tuple[int, ...]:
         return config_at(index, self.tree.n_vertices, self.q)
 
 
@@ -319,10 +310,10 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
 
     outer = sphere(tree, tree.depth)
     inner = sphere(tree, tree.depth - 1)
-    mu_n = finite_volume_measure(tree, F[outer], params)
+    mu_n = finite_volume_measure(tree, F[outer.start:outer.stop], params)
 
-    sub = _ball(tree.k, tree.depth - 1)
-    mu_prev = finite_volume_measure(sub, F[inner], params)
+    sub = build_tree(tree.k, tree.depth - 1)
+    mu_prev = finite_volume_measure(sub, F[inner.start:inner.stop], params)
 
     block = q**sub.n_vertices
     marginal = mu_n.probs.reshape(-1, block).sum(axis=0)

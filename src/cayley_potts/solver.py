@@ -27,6 +27,8 @@ if TYPE_CHECKING:
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
 CLAMP_MARGIN = 1e-9
+# points of the primary scan over the whole clamped domain in ln x
+SCAN_GRID = 4001
 # computed roots this close (relative) to 1.0 are the injected root
 DEDUP_REL = 1e-9
 # adjacent roots closer than this (relative) merge into one, flagged
@@ -180,7 +182,7 @@ class RootReport:
         return len(self.roots)
 
 
-def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
+def find_h_roots(theta: float, k: int) -> RootReport:
     """All roots of h on the clamped domain, classified and orbit-paired.
 
     Below theta_cr(k) the count is 3: the fixed point x = 1 plus a two-cycle
@@ -193,8 +195,6 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
     if not (math.isfinite(theta) and 0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
     t_cr = theta_cr(k)  # validates k >= 3
-    if not (isinstance(grid, int) or isinstance(grid, Integral)) or grid < 2:
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     # numpy scalars would carry numpy arithmetic into every h evaluation
     theta, k, t_cr = float(theta), int(k), float(t_cr)
 
@@ -218,7 +218,7 @@ def find_h_roots(theta: float, k: int, grid: int = 4001) -> RootReport:
         flags.append("domain-edge")
 
     t_lo, t_hi = math.log(lo), math.log(hi)
-    windows = [(t_lo, t_hi, grid)]
+    windows = [(t_lo, t_hi, SCAN_GRID)]
     # finer passes around x = 1, where the two-cycle pair collapses into the
     # fixed point as theta approaches theta_cr
     for half_width in (0.3, 3e-3, 3e-5):

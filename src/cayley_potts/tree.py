@@ -1,32 +1,35 @@
 """Finite rooted Cayley trees.
 
 The Cayley tree of order k is the infinite cycle-free graph in which every
-vertex has exactly k+1 neighbours.  ``build_tree(k, n)`` constructs the ball
+vertex has exactly k+1 neighbours.  ``build_tree(k, n)`` describes the ball
 of radius n around a distinguished root: the root keeps all k+1 neighbours
 as children and every other internal vertex has k children, so that degrees
 match the infinite tree everywhere except on the depth-n boundary.
 
-Vertices carry dense integer indices in breadth-first order, so the layout
-is plain arithmetic that the rest of the package relies on:
+Vertices carry dense integer indices in breadth-first order, so the whole
+structure is plain arithmetic on (k, n) and nothing is stored per vertex:
 
 * the ball of radius m < n occupies the index prefix 0 .. ball_size(k,m)-1,
+  and generation m is the index range that ends there,
 * the root's children are 1 .. k+1 and every other vertex v has the
   children k*v+2 .. k*v+k+1, so generation m+1 lists the children of
-  generation m parent by parent.
+  generation m parent by parent; the parent of v >= 1 is 0 for v <= k+1
+  and (v-2)//k otherwise.
+
+Everything here is integer arithmetic, so the module imports no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
-import numpy as np
-
-# allocation guard; trees beyond this are refused outright
+# size guard; trees beyond this are refused outright
 MAX_VERTICES = 1 << 26
 
 
 class TreeSizeError(ValueError):
-    """Requested tree exceeds the vertex allocation guard."""
+    """Requested tree exceeds the vertex guard."""
 
 
 def ball_size(k: int, n: int) -> int:
@@ -43,55 +46,39 @@ def sphere_size(k: int, m: int) -> int:
     return (k + 1) * k ** (m - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteTree:
     """Radius-``depth`` ball of the order-``k`` Cayley tree, BFS-indexed."""
 
     k: int
     depth: int
-    parent: np.ndarray      # parent[v]; -1 for the root
-    generation: np.ndarray  # distance from the root
 
     @property
     def n_vertices(self) -> int:
-        return int(self.parent.shape[0])
-
-    def __repr__(self) -> str:
-        return (f"FiniteTree(k={self.k}, depth={self.depth}, "
-                f"vertices={self.n_vertices})")
+        return ball_size(self.k, self.depth)
 
 
 def build_tree(k: int, n: int) -> FiniteTree:
-    """Build the radius-n ball of the order-k Cayley tree."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    """The radius-n ball of the order-k Cayley tree."""
+    if not isinstance(k, Integral) or k < 1:
         raise ValueError(f"tree order k must be an integer >= 1, got {k!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, Integral) or n < 0:
         raise ValueError(f"tree depth n must be an integer >= 0, got {n!r}")
+    k, n = int(k), int(n)
     total = ball_size(k, n)
     if total > MAX_VERTICES:
         raise TreeSizeError(
             f"tree with k={k}, n={n} needs {total} vertices, "
             f"above the guard of {MAX_VERTICES}")
-
-    # inverse of the child layout: (v-2)//k, except for the root's children
-    parent = (np.arange(total, dtype=np.int64) - 2) // k
-    parent[1:k + 2] = 0
-    parent[0] = -1
-    generation = np.repeat(np.arange(n + 1, dtype=np.int64),
-                           [sphere_size(k, m) for m in range(n + 1)])
-
-    parent.setflags(write=False)
-    generation.setflags(write=False)
-    return FiniteTree(k=int(k), depth=int(n), parent=parent,
-                      generation=generation)
+    return FiniteTree(k=k, depth=n)
 
 
-def sphere(tree: FiniteTree, m: int) -> np.ndarray:
+def sphere(tree: FiniteTree, m: int) -> range:
     """Vertex indices at distance m from the root, ascending."""
     if not 0 <= m <= tree.depth:
         raise ValueError(f"generation {m} outside 0..{tree.depth}")
     stop = ball_size(tree.k, m)
-    return np.arange(stop - sphere_size(tree.k, m), stop)
+    return range(stop - sphere_size(tree.k, m), stop)
 
 
 def children(tree: FiniteTree, x: int) -> tuple:
@@ -107,7 +94,9 @@ def children(tree: FiniteTree, x: int) -> tuple:
 
 def edges(tree: FiniteTree) -> list[tuple[int, int]]:
     """All (parent, child) pairs; a radius-n ball has |V_n| - 1 of them."""
-    return [(int(tree.parent[v]), v) for v in range(1, tree.n_vertices)]
+    k = tree.k
+    return [(0 if v <= k + 1 else (v - 2) // k, v)
+            for v in range(1, tree.n_vertices)]
 
 
 def level_sizes(tree: FiniteTree) -> list[int]:

@@ -3,7 +3,6 @@
 import numpy as np
 
 from cayley_potts.period2 import DomainError, domain_bounds
-from cayley_potts.potts import Configuration, ModelParams
 from cayley_potts.tree import FiniteTree
 
 
@@ -28,16 +27,32 @@ def clamp_to_domain(x: float, theta: float, k: int,
     return float(x), False
 
 
-def hamiltonian(tree: FiniteTree, config, params: ModelParams) -> float:
+def bfs_oracle(k: int, n: int):
+    """Independent level-by-level enumeration: (parent, generation) lists."""
+    parent = [-1]
+    generation = [0]
+    frontier = [0]
+    for gen in range(1, n + 1):
+        width = k + 1 if gen == 1 else k
+        nxt = []
+        for p in frontier:
+            for _ in range(width):
+                parent.append(p)
+                generation.append(gen)
+                nxt.append(len(parent) - 1)
+        frontier = nxt
+    return parent, generation
+
+
+def hamiltonian(tree: FiniteTree, spins, q: int, J: float) -> float:
     """Energy -J * (number of monochromatic edges) of one configuration."""
-    spins = np.asarray(
-        config.spins if isinstance(config, Configuration) else config,
-        dtype=np.int64)
+    spins = np.asarray(spins, dtype=np.int64)
     if spins.shape != (tree.n_vertices,):
         raise ValueError("configuration must assign one state per vertex")
-    if ((spins < 1) | (spins > params.q)).any():
-        raise ValueError(f"spin states must lie in 1..{params.q}")
+    if ((spins < 1) | (spins > q)).any():
+        raise ValueError(f"spin states must lie in 1..{q}")
     if tree.n_vertices == 1:
         return 0.0
-    mono = int(np.count_nonzero(spins[tree.parent[1:]] == spins[1:]))
-    return -params.J * mono
+    parent, _ = bfs_oracle(tree.k, tree.depth)
+    mono = int(np.count_nonzero(spins[parent[1:]] == spins[1:]))
+    return -J * mono

@@ -67,15 +67,17 @@ def test_roots_and_scan_never_import_numpy():
         "from cayley_potts import cli",
         "codes = [cli.main(['roots', '--k', '3', '--theta', '0.1']),",
         "         cli.main(['scan', '--k', '3', '--theta', '0.1:0.4:3']),",
-        "         cli.main(['roots', '--k', '3', '--theta', '1.5'])]",
-        "assert codes == [0, 0, 1], codes",
+        "         cli.main(['roots', '--k', '3', '--theta', '1.5']),",
+        "         cli.main(['tree-check', '--k', '3', '--n', '2'])]",
+        "assert codes == [0, 0, 1, 0], codes",
         "assert 'numpy' not in sys.modules",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=src_env(), timeout=120, check=False)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == (readme_transcript("roots --k 3 --theta 0.1")
-                           + readme_transcript("scan --k 3 --theta 0.1:0.4:3"))
+                           + readme_transcript("scan --k 3 --theta 0.1:0.4:3")
+                           + readme_transcript("tree-check --k 3 --n 2"))
     assert done.stderr.startswith(b"error: activity must be below 1")
 
 
@@ -124,6 +126,21 @@ def test_roots_rejects_conflicting_activity_flags(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("roots", "--k", "3"),
+    ("verify", "--k", "2", "--n", "1", "--trials", "1"),
+    ("orbit", "--k", "3"),
+], ids=["roots", "verify", "orbit"])
+@pytest.mark.parametrize("J", ["1000", "nan"])
+def test_coupling_out_of_range_is_a_validation_error(capsys, command, J):
+    # exp(1000) overflows and a NaN coupling has no activity: both are bad
+    # input naming the flag, not a numerical failure or a complaint about
+    # a theta the caller never gave
+    code, out, err = run(capsys, *command, "--J", J, "--beta", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--J" in err
+
+
 def test_roots_rejects_bad_parameters(capsys):
     assert run(capsys, "roots", "--k", "2", "--theta", "0.1")[0] == 1
     assert run(capsys, "roots", "--k", "3", "--theta", "1.0")[0] == 1
@@ -143,6 +160,18 @@ def test_roots_out_file_matches_stdout(capsys, tmp_path, argv):
     assert code == 0
     _, out, _ = run(capsys, *argv)
     assert target.read_bytes() == out.encode("ascii")
+
+
+@pytest.mark.parametrize("command", [
+    ("roots", "--k", "3", "--theta", "0.1"),
+    ("tree-check", "--k", "2", "--n", "1"),
+], ids=["roots", "tree-check"])
+def test_unwritable_out_is_an_error(capsys, tmp_path, command):
+    # a missing directory and a directory are reported, not a traceback
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run(capsys, *command, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(target) in err
 
 
 @pytest.mark.parametrize("k, theta", [("200", "0.01"), ("3", "5e-324")])

@@ -43,6 +43,8 @@ def test_scalar_layers_load_without_numpy():
         "import sys",
         "import cayley_potts as cp",
         "import cayley_potts.cli",
+        "import cayley_potts.tree",
+        "cp.edges(cp.build_tree(3, 2))",
         "cp.find_h_roots(0.1, 3)",
         "cp.scan_theta(3, 0.1, 0.2, 2)",
         "cp.h_prime(1.0, 0.1, 3)",

@@ -1,18 +1,18 @@
 """Potts Hamiltonian, field recursion, and the exact measure oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cayley_potts.potts import (ENUMERATION_GUARD, Configuration,
-                                EnumerationLimitError, ModelParams,
-                                check_consistency, config_at, config_index,
-                                f_map, finite_volume_measure,
+from cayley_potts.potts import (ENUMERATION_GUARD, EnumerationLimitError,
+                                ModelParams, check_consistency, config_at,
+                                config_index, f_map, finite_volume_measure,
                                 propagate_fields)
 from cayley_potts.period2 import period2_map
 from cayley_potts.tree import build_tree, edges, sphere
-from helpers import hamiltonian
+from helpers import bfs_oracle, hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -21,7 +21,7 @@ def measure_oracle(tree, boundary_fields, params):
     """Direct weight-sum recomputation, no shared code with the library."""
     q = params.q
     n = tree.n_vertices
-    parent = [int(p) for p in tree.parent]
+    parent, _ = bfs_oracle(tree.k, tree.depth)
     leaves = [int(v) for v in sphere(tree, tree.depth)]
     H = [[float(c) for c in row] for row in boundary_fields]
     weights = []
@@ -49,18 +49,16 @@ def test_params_from_coupling():
     assert p.antiferromagnetic
 
 
-def test_params_from_theta_backfills_coupling():
+def test_params_from_theta():
     p = ModelParams.from_theta(2, 3, 0.5)
-    assert p.beta == 1.0
-    assert p.J == math.log(0.5)
+    # the measures see the coupling only through theta, so nothing else is kept
+    assert [f.name for f in dataclasses.fields(p)] == ["k", "q", "theta"]
     assert p.theta == 0.5
     assert p.antiferromagnetic
     assert not ModelParams.from_theta(2, 3, 1.7).antiferromagnetic
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(k=2, q=3, J=-1.0, beta=1.0, theta=0.9)  # identity broken
     with pytest.raises(ValueError):
         ModelParams.from_theta(2, 1, 0.5)
     with pytest.raises(ValueError):
@@ -69,6 +67,11 @@ def test_params_validation():
         ModelParams.from_coupling(2, 3, -1.0, 0.0)
     with pytest.raises(ValueError):
         ModelParams.from_theta(2, 3, -0.5)
+    # exp(J*beta) beyond the doubles, or a non-finite J, is bad input
+    for J, beta in ((1000.0, 1.0), (-1000.0, 1.0), (1e308, 10.0),
+                    (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="J"):
+            ModelParams.from_coupling(2, 3, J, beta)
 
 
 # ---------------------------------------------------------- configurations
@@ -78,9 +81,9 @@ def test_config_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(50):
         idx = int(rng.integers(0, 3**5))
-        cfg = config_at(idx, 5, 3)
-        assert all(1 <= s <= 3 for s in cfg.spins)
-        assert config_index(cfg.spins, 3) == idx
+        spins = config_at(idx, 5, 3)
+        assert all(1 <= s <= 3 for s in spins)
+        assert config_index(spins, 3) == idx
 
 
 def test_config_errors():
@@ -97,35 +100,31 @@ def test_config_errors():
 
 def test_hamiltonian_all_equal():
     tree = build_tree(2, 1)
-    params = ModelParams.from_coupling(2, 3, -1.0, 1.0)
-    assert hamiltonian(tree, Configuration((1, 1, 1, 1)), params) == 3.0
+    assert hamiltonian(tree, (1, 1, 1, 1), 3, J=-1.0) == 3.0
 
 
 def test_hamiltonian_proper_coloring():
     tree = build_tree(2, 1)
-    params = ModelParams.from_coupling(2, 3, -1.0, 1.0)
     # alternating by generation parity: no monochromatic edge
-    assert hamiltonian(tree, (1, 2, 2, 2), params) == 0.0
+    assert hamiltonian(tree, (1, 2, 2, 2), 3, J=-1.0) == 0.0
 
 
 def test_hamiltonian_random_vs_edge_scan():
     tree = build_tree(2, 2)
-    params = ModelParams.from_coupling(2, 3, -0.5, 1.0)
     rng = np.random.default_rng(11)
     for _ in range(25):
         spins = rng.integers(1, 4, size=tree.n_vertices)
         mono = sum(1 for x, y in edges(tree) if spins[x] == spins[y])
-        assert hamiltonian(tree, spins, params) == pytest.approx(
+        assert hamiltonian(tree, spins, 3, J=-0.5) == pytest.approx(
             0.5 * mono, abs=1e-15)
 
 
 def test_hamiltonian_errors():
     tree = build_tree(2, 1)
-    params = ModelParams.from_theta(2, 3, 0.5)
     with pytest.raises(ValueError):
-        hamiltonian(tree, (1, 1, 1), params)  # missing a vertex
+        hamiltonian(tree, (1, 1, 1), 3, J=-1.0)  # missing a vertex
     with pytest.raises(ValueError):
-        hamiltonian(tree, (1, 1, 1, 5), params)
+        hamiltonian(tree, (1, 1, 1, 5), 3, J=-1.0)
 
 
 # ----------------------------------------------------------------- f_map
@@ -245,11 +244,12 @@ def naive_measure(tree, boundary_fields, params):
     """Configuration-by-configuration weights, summed with np.sort: the
     arithmetic finite_volume_measure must reproduce bit for bit."""
     q, n = params.q, tree.n_vertices
+    parent, _ = bfs_oracle(tree.k, tree.depth)
     idx = np.arange(q**n, dtype=np.int64)
     digit = [(idx // q**v) % q for v in range(n)]
     mono = np.zeros(q**n, dtype=np.int64)
     for v in range(1, n):
-        mono += digit[int(tree.parent[v])] == digit[v]
+        mono += digit[parent[v]] == digit[v]
     boundary = np.zeros(q**n)
     for row, v in enumerate(sphere(tree, tree.depth)):
         boundary += np.append(boundary_fields[row], 0.0)[digit[v]]
@@ -291,7 +291,7 @@ def test_measure_permutation_equivariance():
     t1 = finite_volume_measure(tree, H, params)
     t2 = finite_volume_measure(tree, H2, params)
     for idx in range(len(t1)):
-        spins = t1.config_at(idx).spins
+        spins = t1.config_at(idx)
         relabeled = tuple(perm[s - 1] for s in spins)
         assert t2.probability(relabeled) == pytest.approx(
             t1.probs[idx], rel=1e-12)
@@ -343,9 +343,10 @@ def test_propagate_matches_handrolled_recursion(k, q, n):
     fields = propagate_fields(tree, leaf, params)
 
     # bottom-up dict recursion, children looked up by parent scan
+    parent, _ = bfs_oracle(k, n)
     expected = {int(v): leaf[i] for i, v in enumerate(sphere(tree, n))}
     for v in range(tree.n_vertices - 1, -1, -1):
-        kids = [u for u in range(tree.n_vertices) if tree.parent[u] == v]
+        kids = [u for u in range(tree.n_vertices) if parent[u] == v]
         if kids:
             expected[v] = sum(f_map(expected[u], params) for u in kids)
     for v in range(tree.n_vertices):

@@ -74,10 +74,10 @@ def test_scan_validation():
 def test_scan_records_failed_rows(monkeypatch):
     real = find_h_roots
 
-    def flaky(theta, k, grid=4001):
+    def flaky(theta, k):
         if 0.4 < theta < 0.6:
             raise BisectionError("stuck", Bracket(1.0, 2.0, -1.0, 1.0))
-        return real(theta, k, grid=grid)
+        return real(theta, k)
 
     monkeypatch.setattr(scan_mod, "find_h_roots", flaky)
     rows = scan_theta(3, 0.3, 0.7, 3)

@@ -270,8 +270,6 @@ def test_find_h_roots_validation():
         find_h_roots(0.0, 3)
     with pytest.raises(ValueError):
         find_h_roots(0.1, 2)
-    with pytest.raises(ValueError):
-        find_h_roots(0.1, 3, grid=1)
 
 
 # ---------------------------------------------------- fixed-point iteration

@@ -8,23 +8,7 @@ import pytest
 from cayley_potts.tree import (MAX_VERTICES, FiniteTree, TreeSizeError,
                                ball_size, build_tree, children, edges,
                                level_sizes, sphere, sphere_size)
-
-
-def bfs_oracle(k: int, n: int):
-    """Independent level-by-level enumeration: (parent, generation) lists."""
-    parent = [-1]
-    generation = [0]
-    frontier = [0]
-    for gen in range(1, n + 1):
-        width = k + 1 if gen == 1 else k
-        nxt = []
-        for p in frontier:
-            for _ in range(width):
-                parent.append(p)
-                generation.append(gen)
-                nxt.append(len(parent) - 1)
-        frontier = nxt
-    return parent, generation
+from helpers import bfs_oracle
 
 
 def test_ball_and_sphere_sizes():
@@ -61,13 +45,14 @@ def test_build_tree_counts():
 def test_build_tree_matches_bfs_oracle(k, n):
     tree = build_tree(k, n)
     parent, generation = bfs_oracle(k, n)
-    assert tree.parent.tolist() == parent
-    assert tree.generation.tolist() == generation
+    assert edges(tree) == [(p, v) for v, p in enumerate(parent) if v > 0]
+    assert [m for m in range(n + 1) for _ in sphere(tree, m)] == generation
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (4, 2)])
 def test_structural_invariants(k, n):
     tree = build_tree(k, n)
+    parent, generation = bfs_oracle(k, n)
     sizes = level_sizes(tree)
     assert sizes[0] == 1
     for m in range(1, n + 1):
@@ -78,32 +63,33 @@ def test_structural_invariants(k, n):
         width = len(children(tree, v))
         if v == 0:
             assert width == k + 1
-        elif tree.generation[v] < n:
+        elif generation[v] < n:
             assert width == k
         else:
             assert width == 0
         assert children(tree, v) == tuple(
-            int(u) for u in np.nonzero(tree.parent == v)[0])
+            u for u in range(tree.n_vertices) if parent[u] == v)
     for x, y in edges(tree):
-        assert tree.generation[y] == tree.generation[x] + 1
+        assert generation[y] == generation[x] + 1
     assert len(edges(tree)) == tree.n_vertices - 1
-    # connectivity: every vertex walks up to the root
+    # connectivity: every vertex walks up its edges to the root
+    up = {y: x for x, y in edges(tree)}
     for v in range(tree.n_vertices):
         steps = 0
         while v != 0:
-            v = int(tree.parent[v])
+            v = up[v]
             steps += 1
             assert steps <= n
     # vertices within one generation are contiguous and ascending
     for m in range(n + 1):
         sp = sphere(tree, m)
         assert list(sp) == sorted(sp)
-        assert all(tree.generation[v] == m for v in sp)
+        assert all(generation[v] == m for v in sp)
 
 
 def test_sphere_examples():
     tree = build_tree(2, 2)
-    assert sphere(tree, 0).tolist() == [0]
+    assert list(sphere(tree, 0)) == [0]
     assert len(sphere(tree, 1)) == 3
     assert len(sphere(build_tree(3, 2), 2)) == 12
 
@@ -152,10 +138,8 @@ def test_build_tree_size_guard():
 
 def test_tree_is_immutable():
     tree = build_tree(2, 2)
-    assert not tree.parent.flags.writeable
-    assert not tree.generation.flags.writeable
-    with pytest.raises(ValueError):
-        tree.parent[0] = 5
+    # nothing per vertex: the tree is its order and depth
+    assert [f.name for f in dataclasses.fields(tree)] == ["k", "depth"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         tree.k = 4
     assert isinstance(tree, FiniteTree)
@@ -163,9 +147,10 @@ def test_tree_is_immutable():
 
 def test_edges_are_parent_child_pairs():
     tree = build_tree(2, 2)
+    parent, generation = bfs_oracle(2, 2)
     for x, y in edges(tree):
-        assert tree.parent[y] == x
-        assert abs(int(tree.generation[x]) - int(tree.generation[y])) == 1
+        assert parent[y] == x
+        assert abs(generation[x] - generation[y]) == 1
 
 
 def test_level_sizes_partition():
