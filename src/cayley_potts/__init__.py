@@ -4,8 +4,8 @@ Exact finite-volume measures and compatibility oracles for the q-state
 model, the parity-alternating (period-2) fixed-point structure for three
 states, deterministic root enumeration, and activity sweeps.
 
-Public names are loaded on first use (PEP 562), so the tree, scalar
-period-2, solver and scan paths never import numpy; ``potts`` does.
+Public names are loaded on first use (PEP 562).  Only ``potts`` imports
+numpy; the tree, period-2, solver and scan modules run on ``math`` alone.
 """
 
 import importlib

@@ -25,8 +25,8 @@ from .period2 import period2_map, sign_relation_check
 from .scan import FORMATS, render_report, render_rows, scan_theta, write_text
 from .solver import BisectionError, find_h_roots, fixed_point_iterate
 
-# numpy and potts are imported inside verify and orbit, and tree inside
-# verify and tree-check, so roots and scan load none of them
+# numpy and potts are imported inside verify, and tree inside verify and
+# tree-check; every other subcommand runs on math alone
 
 VERIFY_TOL = 1e-10
 
@@ -165,15 +165,13 @@ def _relation_marks(z_in, z_out, theta: float) -> str:
 
 
 def cmd_orbit(args) -> int:
-    import numpy as np
-
     theta = _resolve_theta(args)
     try:
-        z0 = np.array([float(s) for s in args.z.split(",")])
+        z0 = tuple(float(s) for s in args.z.split(","))
     except ValueError:
         raise ValueError(f"--z must be four comma-separated numbers, "
                          f"got {args.z!r}") from None
-    if z0.shape != (4,) or not ((z0 > 0).all() and np.isfinite(z0).all()):
+    if len(z0) != 4 or not all(0.0 < v < math.inf for v in z0):
         raise ValueError("--z must be four positive finite numbers")
 
     check_relations = theta < 1.0
@@ -183,9 +181,9 @@ def cmd_orbit(args) -> int:
         lines.append("warning: outside antiferromagnetic regime "
                      "(theta >= 1); sign-relation checks skipped")
 
-    trace: list[tuple[np.ndarray, np.ndarray]] = []
+    trace: list[tuple[tuple, tuple]] = []
 
-    def doubled(z: np.ndarray) -> np.ndarray:
+    def doubled(z: tuple) -> tuple:
         mid = period2_map(z, theta, args.k)
         trace.append((z, mid))
         out = period2_map(mid, theta, args.k)
@@ -245,7 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep the activity over a range")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta", required=True, metavar="LO:HI:STEPS")
+    p.add_argument("--theta", required=True, metavar="LO:HI:STEPS",
+                   help="STEPS evenly spaced activities from LO to HI; "
+                        "STEPS=1 gives LO alone")
     p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scan)
@@ -289,6 +289,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; those are validation errors
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.out:  # fail before the work; append mode truncates nothing
+            open(args.out, "ab").close()
         return args.func(args)
     # DomainError and EnumerationLimitError are ValueErrors; an OSError is
     # an --out that cannot be opened

@@ -23,10 +23,6 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DomainError(ValueError):
@@ -66,7 +62,7 @@ def domain_bounds(theta: float, k: int) -> tuple[float, float]:
                             f"k={k}") from None
 
 
-def period2_map(z, theta: float, k: int) -> np.ndarray:
+def period2_map(z, theta: float, k: int) -> tuple[float, float, float, float]:
     """One application of the parity-swapped consistency map:
 
         z1' = ((theta z3 + z4 + 1)/(z3 + z4 + theta))^k
@@ -74,31 +70,29 @@ def period2_map(z, theta: float, k: int) -> np.ndarray:
         z3' = ((theta z1 + z2 + 1)/(z1 + z2 + theta))^k
         z4' = ((theta z2 + z1 + 1)/(z1 + z2 + theta))^k
 
-    All denominators are positive for positive input, so the map is total;
-    a component that leaves the float range (inf, or 0) raises OverflowError.
+    z is any sequence of four positive finite numbers, the image a 4-tuple
+    of floats.  The denominators are positive, so the map is total; a
+    component that leaves the float range (inf, or 0) raises OverflowError.
     """
-    import numpy as np
-
     _check_theta_k(theta, k)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (4,):
-        raise ValueError(f"z must have 4 components, got shape {z.shape}")
-    if not (np.isfinite(z).all() and (z > 0).all()):
-        raise ValueError("z components must be positive and finite")
+    z = [float(v) for v in z]
+    if len(z) != 4 or not all(0.0 < v < math.inf for v in z):
+        raise ValueError("z must be four positive finite numbers")
+    theta, k = float(theta), int(k)  # numpy scalars overflow to inf instead
     z1, z2, z3, z4 = z
     d34 = z3 + z4 + theta
     d12 = z1 + z2 + theta
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.array([
-            ((theta * z3 + z4 + 1.0) / d34) ** k,
-            ((theta * z4 + z3 + 1.0) / d34) ** k,
-            ((theta * z1 + z2 + 1.0) / d12) ** k,
-            ((theta * z2 + z1 + 1.0) / d12) ** k,
-        ])
-    if not (np.isfinite(out).all() and (out > 0).all()):
-        raise OverflowError(f"parity map left the float range at "
-                            f"z={z.tolist()}, theta={theta!r}, k={k}")
-    return out
+    try:
+        out = (((theta * z3 + z4 + 1.0) / d34) ** k,
+               ((theta * z4 + z3 + 1.0) / d34) ** k,
+               ((theta * z1 + z2 + 1.0) / d12) ** k,
+               ((theta * z2 + z1 + 1.0) / d12) ** k)
+        if all(0.0 < v < math.inf for v in out):
+            return out
+    except OverflowError:
+        pass
+    raise OverflowError(f"parity map left the float range at "
+                        f"z={z}, theta={theta!r}, k={k}")
 
 
 def _sign(x: float) -> int:
@@ -107,7 +101,7 @@ def _sign(x: float) -> int:
 
 def sign_relation_check(z_in, z_out, theta: float) -> tuple[bool, bool, bool]:
     """Antiferromagnetic order relations between z_in and z_out = map(z_in),
-    valid for 0 < theta < 1:
+    two sequences of four numbers, valid for 0 < theta < 1:
 
     (a) z1' - z2' has the opposite sign of z3 - z4;
     (b) z3 >= 1 forces z1' <= 1, and z3 <= 1 forces z1' >= 1;
@@ -116,14 +110,12 @@ def sign_relation_check(z_in, z_out, theta: float) -> tuple[bool, bool, bool]:
     Comparisons are non-strict on purpose: at boundary points (components
     equal, or equal to 1) both sides of an equivalence degenerate together.
     """
-    import numpy as np
-
     if not 0.0 < theta < 1.0:
         raise ValueError(f"sign relations hold for 0 < theta < 1, "
                          f"got theta={theta!r}")
-    zi = np.asarray(z_in, dtype=float)
-    zo = np.asarray(z_out, dtype=float)
-    if zi.shape != (4,) or zo.shape != (4,):
+    zi = [float(v) for v in z_in]
+    zo = [float(v) for v in z_out]
+    if len(zi) != 4 or len(zo) != 4:
         raise ValueError("z_in and z_out must have 4 components")
 
     a = _sign(zo[0] - zo[1]) == -_sign(zi[2] - zi[3])

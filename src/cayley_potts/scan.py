@@ -43,7 +43,8 @@ def row_from_report(report: RootReport) -> ScanRow:
 
 def scan_theta(k: int, theta_lo: float, theta_hi: float,
                steps: int) -> list[ScanRow]:
-    """One row per theta on the inclusive uniform grid [theta_lo, theta_hi].
+    """One row per theta on the inclusive uniform grid [theta_lo, theta_hi]
+    of ``steps`` points; steps = 1 gives theta_lo alone.
 
     A failed row is recorded with an error flag and an empty root list,
     never dropped.

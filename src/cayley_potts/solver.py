@@ -18,12 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Sequence
 
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
 CLAMP_MARGIN = 1e-9
@@ -307,26 +304,26 @@ def find_h_roots(theta: float, k: int) -> RootReport:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    z: np.ndarray
+    z: tuple[float, ...]
     iterations: int
     converged: bool
 
 
-def fixed_point_iterate(map_fn: Callable[[np.ndarray], np.ndarray], z0,
-                        tol: float = 1e-10,
+def fixed_point_iterate(map_fn: Callable[[tuple], Sequence[float]],
+                        z0: Sequence[float], tol: float = 1e-10,
                         max_iter: int = 500) -> FixedPointResult:
     """Iterate z <- map_fn(z) until the sup-norm update drops to tol.
 
-    On convergence the returned z satisfies ||map_fn(z) - z||_inf <= tol;
-    iterations counts accepted updates, so a z0 that already satisfies the
-    tolerance reports 0.  Callers chasing two-cycles pass the twice-composed
-    map so that cycle points become fixed points.  Non-convergence is
-    reported via converged=False with the last iterate, not an exception.
+    z0 is a non-empty sequence of positive finite numbers; map_fn gets, and
+    the result holds, z as a tuple of floats.  On convergence the returned
+    z satisfies ||map_fn(z) - z||_inf <= tol; iterations counts accepted
+    updates, so a z0 that already satisfies the tolerance reports 0.
+    Callers chasing two-cycles pass the twice-composed map so that cycle
+    points become fixed points.  Non-convergence is reported via
+    converged=False with the last iterate, not an exception.
     """
-    import numpy as np
-
-    z = np.asarray(z0, dtype=float).copy()
-    if z.ndim != 1 or not (np.isfinite(z).all() and (z > 0).all()):
+    z = tuple(float(v) for v in z0)
+    if not (z and all(0.0 < v < math.inf for v in z)):
         raise ValueError("z0 must be a vector of positive finite components")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -334,8 +331,9 @@ def fixed_point_iterate(map_fn: Callable[[np.ndarray], np.ndarray], z0,
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
 
     for iteration in range(max_iter + 1):
-        z_next = np.asarray(map_fn(z), dtype=float)
-        if float(np.max(np.abs(z_next - z))) <= tol:
+        z_next = tuple(float(v) for v in map_fn(z))
+        # all(), not max(): a NaN update must not count as converged
+        if all(abs(a - b) <= tol for a, b in zip(z_next, z, strict=True)):
             return FixedPointResult(z=z, iterations=iteration, converged=True)
         z = z_next
     return FixedPointResult(z=z, iterations=max_iter, converged=False)

@@ -174,6 +174,27 @@ def test_unwritable_out_is_an_error(capsys, tmp_path, command):
         assert err.startswith("error: ") and str(target) in err
 
 
+def test_unwritable_out_fails_before_the_work(capsys, tmp_path, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan_theta ran before --out was checked")
+
+    monkeypatch.setattr(cli, "scan_theta", no_scan)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "scan", "--k", "3",
+                         "--theta", "0.05:0.95:19", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: [Errno 2]")
+
+
+def test_validation_error_leaves_existing_out_intact(capsys, tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"kept\n")
+    code, _, err = run(capsys, "roots", "--k", "3", "--theta", "1.5",
+                       "--out", str(target))
+    assert code == 1 and err.startswith("error: activity must be below 1")
+    assert target.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("k, theta", [("200", "0.01"), ("3", "5e-324")])
 def test_roots_domain_overflow_is_named(capsys, k, theta):
     # theta^-k leaves the float range at both settings; the message says so
@@ -201,6 +222,15 @@ def test_scan_text_table(capsys):
     assert lines[0].split() == ["k", "theta", "count", "roots", "/", "flags"]
     assert len(lines) == 3
     assert lines[1].split()[2] == "3" and lines[2].split()[2] == "1"
+
+
+def test_scan_one_step_is_the_low_end_alone(capsys):
+    code, out, _ = run(capsys, "scan", "--k", "3", "--theta", "0.1:0.2:1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        CSV_HEADER, "3,0.10000000000000001,0.25,3,0.19649931210530613,1,"
+                    "15.01147958065304,"]
 
 
 def test_scan_rejects_bad_ranges(capsys):

@@ -48,6 +48,14 @@ def test_scalar_layers_load_without_numpy():
         "cp.find_h_roots(0.1, 3)",
         "cp.scan_theta(3, 0.1, 0.2, 2)",
         "cp.h_prime(1.0, 0.1, 3)",
+        "z0 = (1.2, 1.2, 0.8, 0.8)",
+        "z1 = cp.period2_map(z0, 0.1, 3)",
+        "cp.sign_relation_check(z0, z1, 0.1)",
+        "doubled = lambda z: cp.period2_map(cp.period2_map(z, 0.1, 3), 0.1, 3)",
+        "assert cp.fixed_point_iterate(doubled, z0).converged",
+        "code = cayley_potts.cli.main(['orbit', '--k', '3', '--theta', '0.1',",
+        f"    '--z', '1.2,1.2,0.8,0.8', '--out', {os.devnull!r}])",
+        "assert code == 0, code",
         "assert 'numpy' not in sys.modules",
         "cp.f_map",
         "assert 'numpy' in sys.modules",

@@ -302,9 +302,9 @@ def test_iterate_generic_start_reaches_a_two_cycle():
     z0 = np.exp(rng.uniform(-1.5, 1.5, 4))
     res = fixed_point_iterate(doubled(), z0, tol=1e-12, max_iter=5000)
     assert res.converged
-    limit = res.z
-    once = period2_map(limit, THETA, K)
-    twice = period2_map(once, THETA, K)
+    limit = np.asarray(res.z)
+    once = np.asarray(period2_map(limit, THETA, K))
+    twice = np.asarray(period2_map(once, THETA, K))
     assert np.max(np.abs(once - limit)) > 0.1        # not a fixed point
     assert np.max(np.abs(twice - limit)) <= 1e-8     # but period two
     assert abs(limit[0] - limit[1]) > 1.0            # and far from I
@@ -320,8 +320,8 @@ def test_iterate_non_convergence_is_reported():
 
 
 def test_iterate_scalar_map():
-    res = fixed_point_iterate(lambda v: (v + 2.0 / v) / 2.0,
-                              np.array([1.0]), tol=1e-14, max_iter=50)
+    res = fixed_point_iterate(lambda v: ((v[0] + 2.0 / v[0]) / 2.0,),
+                              (1.0,), tol=1e-14, max_iter=50)
     assert res.converged
     assert res.z[0] == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
