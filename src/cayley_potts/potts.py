@@ -13,6 +13,13 @@ in log space once per distinct (monochromatic edge count, boundary digits)
 cell, and the partition sum still adds every configuration's weight in
 ascending order.
 
+The field recursion runs one generation at a time.  f_map works on the q-1
+field columns of a whole generation, so each numpy call spans every vertex,
+and it adds its exponentials in numpy's pairwise order for one row of q
+terms.  Its output is therefore bit-identical to a row-by-row log-sum-exp.
+The bits matter: the ``verify`` violations printed in the README are
+rounding differences near 1e-17, which another summation order can change.
+
 Conventions
 -----------
 * Spin states are 1..q.  A configuration on an N-vertex tree is encoded as
@@ -46,6 +53,10 @@ class EnumerationLimitError(ValueError):
     """State space too large for the exhaustive oracle."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants: tree order k, number of states q and the activity
@@ -61,9 +72,9 @@ class ModelParams:
     theta: float
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not isinstance(self.q, (int, np.integer)) or self.q < 2:
+        if not _is_int(self.q) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
@@ -116,9 +127,40 @@ def config_at(index: int, n_vertices: int, q: int) -> tuple[int, ...]:
     return tuple(spins)
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    m = np.max(a, axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.sum(np.exp(a - m), axis=-1))
+def _pairwise_sum(terms: np.ndarray):
+    """Sum of the rows of ``terms``, added in the order numpy's pairwise
+    summation adds one contiguous row of len(terms) numbers: in turn below
+    8 terms; up to 128, in eight interleaved partial sums combined as a
+    balanced tree, then the tail in turn; above 128, the two halves split
+    at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0] + terms[1]
+        for t in terms[2:]:
+            total += t
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        acc = terms[:8].copy()
+        for i in range(8, stop, 8):
+            acc += terms[i:i + 8]
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        for t in terms[stop:]:
+            total += t
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _logsumexp_rows(terms: np.ndarray, work: np.ndarray):
+    """log(sum_j exp(terms[j])) down the rows; ``work`` is scratch of
+    the same shape."""
+    m = terms.max(axis=0)
+    np.subtract(terms, m, out=work)
+    np.exp(work, out=work)
+    return m + np.log(_pairwise_sum(work))
 
 
 def f_map(h, params: ModelParams) -> np.ndarray:
@@ -136,6 +178,15 @@ def f_map(h, params: ModelParams) -> np.ndarray:
 
     ``h`` is one field vector of shape (q-1,) or a stack of N of them of
     shape (N, q-1); the map acts on the last axis, row by row.
+
+    The map is evaluated column by column: each of the q terms of a sum is
+    one contiguous row of a (q, N) array, so every numpy call runs over all
+    N vectors at once instead of reducing N rows only q long.  The max is
+    exact in any order, and the exponentials are added in numpy's pairwise
+    order for a row of q numbers, so each output is bit for bit what a
+    row-wise max/exp/sum/log gives.  A plain left-to-right sum would differ
+    in the last bits from q = 8 on, and those bits reach the printed
+    ``verify`` violations.
     """
     q = params.q
     h = np.asarray(h, dtype=float)
@@ -146,17 +197,26 @@ def f_map(h, params: ModelParams) -> np.ndarray:
         raise ValueError("field components must be finite")
 
     log_theta = math.log(params.theta)
-    gauge = np.zeros(h.shape[:-1] + (1,))
-    den = _logsumexp(np.concatenate([h, gauge + log_theta], axis=-1))
-    terms = np.concatenate([h, gauge], axis=-1)
+    # row j < q-1 holds component j of every vector, row q-1 the gauge term
+    terms = np.empty((q,) + h.shape[:-1])
+    work = np.empty_like(terms)
+    terms[:-1] = h.T
+    terms[-1] = log_theta
+    den = _logsumexp_rows(terms, work)
+    terms[-1] = 0.0
     out = np.empty_like(h)
     for i in range(q - 1):
-        terms[..., i] = log_theta + h[..., i]
-        out[..., i] = _logsumexp(terms) - den
-        terms[..., i] = h[..., i]
+        terms[i] = log_theta + h[..., i]
+        out[..., i] = _logsumexp_rows(terms, work) - den
+        terms[i] = h[..., i]
     if not np.isfinite(out).all():
         raise ValueError("field map produced a non-finite component")
     return out
+
+
+def _check_k(tree: FiniteTree, params: ModelParams) -> None:
+    if params.k != tree.k:
+        raise ValueError(f"params.k={params.k} does not match tree.k={tree.k}")
 
 
 def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.ndarray:
@@ -165,6 +225,7 @@ def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.n
     Each internal vertex x gets the sum of f_map over its children; leaves
     keep their inputs.  Returns an (n_vertices, q-1) array.
     """
+    _check_k(tree, params)
     q = params.q
     leaves = sphere(tree, tree.depth)
     leaf = np.asarray(leaf_fields, dtype=float)
@@ -257,6 +318,7 @@ def finite_volume_measure(tree: FiniteTree, boundary_fields,
     boundary_fields: (|W_n|, q-1) array, one row per depth-n vertex in
     ascending index order.  Probabilities are positive and sum to 1.
     """
+    _check_k(tree, params)
     q = params.q
     boundary = sphere(tree, tree.depth)
     H = np.asarray(boundary_fields, dtype=float)
@@ -300,6 +362,7 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
     Only the W_n and W_{n-1} rows of ``fields`` enter the two measures;
     deeper interior values are irrelevant to this check.
     """
+    _check_k(tree, params)
     if tree.depth < 1:
         raise ValueError("consistency check needs depth >= 1")
     q = params.q

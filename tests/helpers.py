@@ -1,9 +1,40 @@
 """Reference functions that only the tests call."""
 
+import math
+
 import numpy as np
 
 from cayley_potts.period2 import DomainError, domain_bounds
 from cayley_potts.tree import FiniteTree
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    m = np.max(a, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.sum(np.exp(a - m), axis=-1))
+
+
+def f_map_rowwise(h, q: int, theta: float) -> np.ndarray:
+    """The one-step field map as a log-sum-exp along each row of q terms:
+    the bits potts.f_map must reproduce, checks and messages included."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != q - 1:
+        raise ValueError(f"field vector must have shape ({q - 1},) or "
+                         f"(N, {q - 1}), got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("field components must be finite")
+
+    log_theta = math.log(theta)
+    gauge = np.zeros(h.shape[:-1] + (1,))
+    den = _logsumexp(np.concatenate([h, gauge + log_theta], axis=-1))
+    terms = np.concatenate([h, gauge], axis=-1)
+    out = np.empty_like(h)
+    for i in range(q - 1):
+        terms[..., i] = log_theta + h[..., i]
+        out[..., i] = _logsumexp(terms) - den
+        terms[..., i] = h[..., i]
+    if not np.isfinite(out).all():
+        raise ValueError("field map produced a non-finite component")
+    return out
 
 
 def clamp_to_domain(x: float, theta: float, k: int,

@@ -12,7 +12,7 @@ from cayley_potts.potts import (ENUMERATION_GUARD, EnumerationLimitError,
                                 propagate_fields)
 from cayley_potts.period2 import period2_map
 from cayley_potts.tree import build_tree, edges, sphere
-from helpers import bfs_oracle, hamiltonian
+from helpers import bfs_oracle, f_map_rowwise, hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -72,6 +72,13 @@ def test_params_validation():
                     (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(ValueError, match="J"):
             ModelParams.from_coupling(2, 3, J, beta)
+    # a bool is an int to Python, but not a tree order or a state count
+    with pytest.raises(ValueError, match="k must be"):
+        ModelParams(True, 3, 0.5)
+    with pytest.raises(ValueError, match="q must be"):
+        ModelParams.from_theta(2, True, 0.5)
+    with pytest.raises(ValueError, match="k must be"):
+        ModelParams.from_coupling(False, 3, -1.0, 1.0)
 
 
 # ---------------------------------------------------------- configurations
@@ -182,7 +189,7 @@ def test_f_map_matches_z_coordinate_map():
                            rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 8, 9, 17])
 def test_f_map_stack_matches_rows(q):
     params = ModelParams.from_theta(2, q, 0.3)
     rng = np.random.default_rng(41)
@@ -194,6 +201,46 @@ def test_f_map_stack_matches_rows(q):
     for shape in [(), (q,), (64, q), (4, 2, q - 1)]:
         with pytest.raises(ValueError):
             f_map(np.zeros(shape), params)
+
+
+THETAS = (1e-300, 1e-5, 0.3, 1.0, 3.7, 1e5, 1e300)
+
+
+def assert_f_map_matches_rowwise(h, q, theta):
+    """The same bits as the row-wise oracle, or the same ValueError."""
+    params = ModelParams.from_theta(2, q, theta)
+    try:
+        expected = f_map_rowwise(h, q, theta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            f_map(h, params)
+        assert str(got.value) == str(exc)
+        return
+    out = f_map(h, params)
+    assert out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
+# 2..7 add their q terms in turn, 8..20 and 128 through eight partial sums,
+# 129, 130 and 200 split them in two first; +-1e308 overflow t - max(t)
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+@pytest.mark.parametrize("q", list(range(2, 21)) + [128, 129, 130, 200])
+def test_f_map_bit_identical_to_rowwise_oracle(q):
+    rng = np.random.default_rng(q)
+    for theta in THETAS:
+        for scale in (1.0, 30.0, 700.0):
+            stack = rng.uniform(-scale, scale, size=(23, q - 1))
+            for h in (stack, stack[0], stack[:0]):
+                assert_f_map_matches_rowwise(h, q, theta)
+    # ties, signed zeros, exp under- and overflow, and the rejected inputs
+    stack = rng.choice([0.0, -0.0, 1e-300, 700.0, -700.0, 745.0, -745.0,
+                        1e308, -1e308], size=(11, q - 1))
+    bad = stack.copy()
+    bad[4, -1] = np.nan
+    for theta in THETAS:
+        for h in (stack, stack[4], bad, bad[4], np.zeros((3, q)),
+                  np.zeros((2, 3, q - 1))):
+            assert_f_map_matches_rowwise(h, q, theta)
 
 
 # --------------------------------------------------------------- measure
@@ -358,6 +405,19 @@ def test_propagate_validation():
     params = ModelParams.from_theta(2, 3, 0.5)
     with pytest.raises(ValueError):
         propagate_fields(tree, np.zeros((5, 2)), params)
+
+
+def test_params_k_must_match_the_tree():
+    tree = build_tree(2, 2)
+    fields = propagate_fields(tree, np.zeros((6, 2)),
+                              ModelParams.from_theta(2, 3, 0.5))
+    params = ModelParams.from_theta(7, 3, 0.5)
+    with pytest.raises(ValueError, match=r"params\.k=7 .*tree\.k=2"):
+        propagate_fields(tree, np.zeros((6, 2)), params)
+    with pytest.raises(ValueError, match=r"params\.k=7 .*tree\.k=2"):
+        finite_volume_measure(tree, np.zeros((6, 2)), params)
+    with pytest.raises(ValueError, match=r"params\.k=7 .*tree\.k=2"):
+        check_consistency(tree, fields, params)
 
 
 # ------------------------------------------------------------ consistency
