@@ -1,0 +1,42 @@
+"""The argument rules every module shares: integers k, q, n and counts, and
+the activity theta = exp(J*beta).  Plain ``math``, so no numpy import."""
+
+import math
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer (both are ``Integral``), never a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    if not is_integer(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+
+
+def check_theta_k(theta: float, k: int) -> None:
+    # type(k) is int first: this runs on every h evaluation, and the
+    # Integral check is an ABC lookup many times slower
+    if not (type(k) is int or is_integer(k)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+
+
+def activity(J: float, beta: float) -> float:
+    """theta = exp(J*beta) for finite J and positive finite beta."""
+    J, beta = float(J), float(beta)
+    if not math.isfinite(J):
+        raise ValueError(f"J must be finite, got {J!r}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    try:
+        theta = math.exp(J * beta)
+    except OverflowError:
+        theta = math.inf
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"activity exp(J*beta) is out of range for "
+                         f"J={J!r}, beta={beta!r}")
+    return theta

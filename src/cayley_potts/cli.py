@@ -21,9 +21,10 @@ import math
 import sys
 
 from . import __version__
+from ._args import activity
 from .period2 import period2_map, sign_relation_check
 from .scan import FORMATS, render_report, render_rows, scan_theta, write_text
-from .solver import BisectionError, find_h_roots, fixed_point_iterate
+from .solver import find_h_roots, fixed_point_iterate
 
 # numpy and potts are imported inside verify, and tree inside verify and
 # tree-check; every other subcommand runs on math alone
@@ -53,34 +54,18 @@ def _resolve_theta(args) -> float:
     if args.J is None or args.beta is None:
         raise ValueError("--J and --beta must be given together "
                          "(or use --theta)")
-    if not math.isfinite(args.J):
-        raise ValueError(f"--J must be finite, got {args.J}")
-    if not (math.isfinite(args.beta) and args.beta > 0):
-        raise ValueError(f"--beta must be positive and finite, got {args.beta}")
     try:
-        theta = math.exp(args.J * args.beta)
-    except OverflowError:
-        theta = math.inf
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"activity exp(J*beta) is out of range for "
-                         f"--J {args.J} --beta {args.beta}")
-    return theta
+        return activity(args.J, args.beta)
+    except ValueError as exc:
+        raise ValueError(f"--J/--beta: {exc}") from None
 
 
 def _emit_text(text: str, args) -> None:
     write_text(args.out or sys.stdout, text)
 
 
-def _require_antiferromagnetic(theta: float) -> None:
-    if theta >= 1.0:
-        raise ValueError(
-            f"activity must be below 1 (antiferromagnetic regime) for the "
-            f"period-2 root analysis, got theta={theta:.12g}")
-
-
 def cmd_roots(args) -> int:
     theta = _resolve_theta(args)
-    _require_antiferromagnetic(theta)
     _emit_text(render_report(find_h_roots(theta, args.k), args.format), args)
     return 0
 
@@ -292,12 +277,12 @@ def main(argv=None) -> int:
         if args.out:  # fail before the work; append mode truncates nothing
             open(args.out, "ab").close()
         return args.func(args)
-    # DomainError and EnumerationLimitError are ValueErrors; an OSError is
-    # an --out that cannot be opened
+    # DomainError and EnumerationLimitError are ValueErrors, a failed
+    # bisection is an ArithmeticError, and an OSError is an unusable --out
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BisectionError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -22,26 +22,17 @@ roots by Descartes' rule.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+
+from ._args import check_int, check_theta_k
 
 
 class DomainError(ValueError):
     """Argument outside the open interval where g (hence h) is defined."""
 
 
-def _check_theta_k(theta: float, k: int) -> None:
-    # int first: this runs on every h call, and the Integral check (which
-    # also admits numpy integers) is an ABC lookup about 20x slower
-    if not (isinstance(k, int) or isinstance(k, Integral)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
-
-
 def theta_cr(k: int) -> float:
     """Critical activity (k-2)/(k+1); the period-2 theory needs k >= 3."""
-    if not (isinstance(k, int) or isinstance(k, Integral)) or k < 3:
-        raise ValueError(f"k must be an integer >= 3, got {k!r}")
+    check_int("k", k, 3)
     return (k - 2) / (k + 1)
 
 
@@ -50,7 +41,7 @@ def domain_bounds(theta: float, k: int) -> tuple[float, float]:
     interval where the inverse map g stays positive.  For theta < 1 they
     straddle 1.  Raises OverflowError when an endpoint leaves the float
     range (theta^-k for small theta and large k)."""
-    _check_theta_k(theta, k)
+    check_theta_k(theta, k)
     # plain floats overflow with an OverflowError; numpy scalars would
     # return inf with a warning instead
     theta, k = float(theta), int(k)
@@ -74,7 +65,7 @@ def period2_map(z, theta: float, k: int) -> tuple[float, float, float, float]:
     of floats.  The denominators are positive, so the map is total; a
     component that leaves the float range (inf, or 0) raises OverflowError.
     """
-    _check_theta_k(theta, k)
+    check_theta_k(theta, k)
     z = [float(v) for v in z]
     if len(z) != 4 or not all(0.0 < v < math.inf for v in z):
         raise ValueError("z must be four positive finite numbers")
@@ -130,7 +121,7 @@ def f_scalar(x: float, theta: float, k: int) -> float:
     """Scalar consistency map on the invariant set:
     f(x) = (((theta+1) x + 1)/(2x + theta))^k, strictly decreasing for
     theta < 1, with fixed point f(1) = 1."""
-    _check_theta_k(theta, k)
+    check_theta_k(theta, k)
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be positive and finite, got {x!r}")
     return (((theta + 1.0) * x + 1.0) / (2.0 * x + theta)) ** k
@@ -142,7 +133,7 @@ def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:
     Both factors are positive exactly on the open interval
     (theta_1, theta_2), so their signs are the domain check and no endpoint
     (theta^-k can overflow) is ever computed."""
-    _check_theta_k(theta, k)
+    check_theta_k(theta, k)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if theta >= 1.0:
@@ -206,7 +197,7 @@ def p_coefficients(theta: float, k: int) -> dict[int, float]:
 
     Exactly five terms; for k >= 3 the five degrees are distinct."""
     theta_cr(k)  # validates k >= 3
-    _check_theta_k(theta, k)
+    check_theta_k(theta, k)
     return {
         2 * k: 2.0 * (theta + 1.0),
         k + 1: 2.0 * theta * k * k,

@@ -43,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._args import activity, check_int, check_theta_k
 from .tree import FiniteTree, build_tree, edges, sphere
 
 # hard ceiling on q**|V_n| for exhaustive enumeration
@@ -51,10 +52,6 @@ ENUMERATION_GUARD = 20_000_000
 
 class EnumerationLimitError(ValueError):
     """State space too large for the exhaustive oracle."""
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -72,30 +69,13 @@ class ModelParams:
     theta: float
 
     def __post_init__(self):
-        if not _is_int(self.k) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not _is_int(self.q) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
+        check_theta_k(self.theta, self.k)
+        check_int("q", self.q, 2)
 
     @classmethod
     def from_coupling(cls, k: int, q: int, J: float, beta: float) -> "ModelParams":
         """Fold the coupling into the activity theta = exp(J*beta)."""
-        J = float(J)
-        beta = float(beta)
-        if not math.isfinite(J):
-            raise ValueError(f"J must be finite, got {J!r}")
-        if not (math.isfinite(beta) and beta > 0):
-            raise ValueError(f"beta must be positive and finite, got {beta!r}")
-        try:
-            theta = math.exp(J * beta)
-        except OverflowError:
-            theta = math.inf
-        if not 0.0 < theta < math.inf:
-            raise ValueError(f"activity exp(J*beta) is out of range for "
-                             f"J={J!r}, beta={beta!r}")
-        return cls(k=k, q=q, theta=theta)
+        return cls(k=k, q=q, theta=activity(J, beta))
 
     @classmethod
     def from_theta(cls, k: int, q: int, theta: float) -> "ModelParams":
@@ -202,13 +182,16 @@ def f_map(h, params: ModelParams) -> np.ndarray:
     work = np.empty_like(terms)
     terms[:-1] = h.T
     terms[-1] = log_theta
-    den = _logsumexp_rows(terms, work)
-    terms[-1] = 0.0
     out = np.empty_like(h)
-    for i in range(q - 1):
-        terms[i] = log_theta + h[..., i]
-        out[..., i] = _logsumexp_rows(terms, work) - den
-        terms[i] = h[..., i]
+    # a term more than DBL_MAX below its row max overflows to -inf, whose
+    # exp, 0, is its exact share; a real overflow fails the check below
+    with np.errstate(over="ignore"):
+        den = _logsumexp_rows(terms, work)
+        terms[-1] = 0.0
+        for i in range(q - 1):
+            terms[i] = log_theta + h[..., i]
+            out[..., i] = _logsumexp_rows(terms, work) - den
+            terms[i] = h[..., i]
     if not np.isfinite(out).all():
         raise ValueError("field map produced a non-finite component")
     return out

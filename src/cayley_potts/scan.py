@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
+from ._args import check_int
 from .period2 import theta_cr
-from .solver import (KIND_TRANSLATION_INVARIANT, BisectionError, RootReport,
-                     _linspace, find_h_roots)
+from .solver import (KIND_TRANSLATION_INVARIANT, RootReport, _linspace,
+                     find_h_roots)
 
 CSV_HEADER = "k,theta,theta_cr,count,x0,x1,x2,flags"
 FORMATS = ("text", "csv", "json")
@@ -53,15 +53,13 @@ def scan_theta(k: int, theta_lo: float, theta_hi: float,
     if not 0.0 < theta_lo < theta_hi < 1.0:
         raise ValueError(f"need 0 < theta_lo < theta_hi < 1, got "
                          f"[{theta_lo}, {theta_hi}]")
-    if (not (isinstance(steps, int) or isinstance(steps, Integral))
-            or steps < 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    check_int("steps", steps, 1)
 
     rows = []
     for theta in _linspace(theta_lo, theta_hi, steps):
         try:
             rows.append(row_from_report(find_h_roots(theta, k)))
-        except (ValueError, ArithmeticError, BisectionError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             rows.append(ScanRow(k=k, theta=theta, theta_cr=t_cr, count=0,
                                 roots=(), pairs=(),
                                 flags=(f"error:{type(exc).__name__}",)))
@@ -192,9 +190,9 @@ def emit_json(rows, destination) -> None:
 def parse_csv(source) -> list[ScanRow]:
     """Rebuild rows from emit_csv output.
 
-    The 17-digit decimals parse back to the exact original floats.  Orbit
-    pairs are reconstructed from the (x0, x2) columns, which is exact for
-    every row the scanner emits.
+    The 17-digit decimals parse back to the exact original floats.  The
+    orbit pair is rebuilt from the (x0, x2) columns only for a row with no
+    extra roots in the flags: the only pair the solver could have reported.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="ascii")
@@ -225,7 +223,7 @@ def parse_csv(source) -> list[ScanRow]:
         if count != len(roots):
             raise ValueError(f"count column disagrees with roots: {ln!r}")
         pairs = (((float(parts[4]), float(parts[6])),)
-                 if parts[4] and parts[6] else ())
+                 if parts[4] and parts[6] and not extras else ())
         rows.append(ScanRow(k=int(parts[0]), theta=float(parts[1]),
                             theta_cr=float(parts[2]), count=count,
                             roots=tuple(roots), pairs=pairs,

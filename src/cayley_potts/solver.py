@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Sequence
 
+from ._args import check_int
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
@@ -74,7 +74,7 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-class BisectionError(RuntimeError):
+class BisectionError(ArithmeticError):
     """Refinement failed; carries the final bracket for diagnostics."""
 
     def __init__(self, message: str, bracket: Bracket):
@@ -95,8 +95,7 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if not (isinstance(grid, int) or isinstance(grid, Integral)) or grid < 2:
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+    check_int("grid", grid, 2)
 
     xs = _linspace(lo, hi, grid)
     vals = []
@@ -189,13 +188,15 @@ def find_h_roots(theta: float, k: int) -> RootReport:
     theta_cr on only x = 1 is kept, flagged "near-degenerate" if the scan
     found anything beside it.
     """
-    if not (math.isfinite(theta) and 0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
+    if theta >= 1.0:
+        raise ValueError(
+            f"activity must be below 1 (antiferromagnetic regime) for the "
+            f"period-2 root analysis, got theta={theta:.12g}")
     t_cr = theta_cr(k)  # validates k >= 3
     # numpy scalars would carry numpy arithmetic into every h evaluation
     theta, k, t_cr = float(theta), int(k), float(t_cr)
 
-    t1, t2 = domain_bounds(theta, k)
+    t1, t2 = domain_bounds(theta, k)  # validates theta > 0
     lo = t1 * (1.0 + CLAMP_MARGIN)
     hi = t2 * (1.0 - CLAMP_MARGIN)
 
@@ -327,8 +328,7 @@ def fixed_point_iterate(map_fn: Callable[[tuple], Sequence[float]],
         raise ValueError("z0 must be a vector of positive finite components")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    check_int("max_iter", max_iter, 0)
 
     for iteration in range(max_iter + 1):
         z_next = tuple(float(v) for v in map_fn(z))

@@ -22,7 +22,8 @@ Everything here is integer arithmetic, so the module imports no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+
+from ._args import check_int
 
 # size guard; trees beyond this are refused outright
 MAX_VERTICES = 1 << 26
@@ -60,10 +61,8 @@ class FiniteTree:
 
 def build_tree(k: int, n: int) -> FiniteTree:
     """The radius-n ball of the order-k Cayley tree."""
-    if not isinstance(k, Integral) or k < 1:
-        raise ValueError(f"tree order k must be an integer >= 1, got {k!r}")
-    if not isinstance(n, Integral) or n < 0:
-        raise ValueError(f"tree depth n must be an integer >= 0, got {n!r}")
+    check_int("tree order k", k, 1)
+    check_int("tree depth n", n, 0)
     k, n = int(k), int(n)
     total = ball_size(k, n)
     if total > MAX_VERTICES:

@@ -11,6 +11,7 @@ import pytest
 
 from cayley_potts import __version__, cli
 from cayley_potts.scan import CSV_HEADER
+from cayley_potts.solver import BisectionError, Bracket
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,6 +204,17 @@ def test_roots_domain_overflow_is_named(capsys, k, theta):
     assert err.startswith("numerical failure: domain endpoints")
     assert "theta^-k" in err
     assert f"theta={float(theta)!r}, k={k}" in err
+
+
+def test_bisection_failure_is_a_numerical_failure(capsys, monkeypatch):
+    def failing(theta, k):
+        raise BisectionError("no convergence within 200 iterations",
+                             Bracket(0.5, 0.6, -1.0, 1.0))
+
+    monkeypatch.setattr(cli, "find_h_roots", failing)
+    code, out, err = run(capsys, "roots", "--k", "3", "--theta", "0.1")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: no convergence")
 
 
 # ------------------------------------------------------------------- scan

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ def test_f_map_extreme_fields_stay_finite():
     params = ModelParams.from_theta(2, 3, 0.5)
     for h in ([-700.0, 700.0], [700.0, 700.0], [-745.0, -745.0]):
         assert np.isfinite(f_map(np.array(h), params)).all()
+
+
+def test_f_map_fields_more_than_dbl_max_apart_do_not_warn():
+    # h_2 - max(h) overflows to -inf, and exp(-inf) = 0 is its exact share
+    params = ModelParams.from_theta(3, 3, 0.5)
+    h = np.array([[1e308, -1e308], [-1e308, 1e308], [LN2, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = f_map_rowwise(h, 3, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = f_map(h, params)
+        assert np.array_equal(f_map(h[0], params), expected[0])
+    assert np.array_equal(out, expected)
 
 
 def test_f_map_validation():

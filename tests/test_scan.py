@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cayley_potts.scan as scan_mod
+from cayley_potts.period2 import theta_cr
 from cayley_potts.scan import (CSV_HEADER, ScanRow, emit_csv, emit_json,
                                parse_csv, row_from_report, scan_theta)
 from cayley_potts.solver import BisectionError, Bracket, find_h_roots
@@ -137,6 +138,21 @@ def test_csv_overflow_column():
     assert parsed.roots == row.roots
     assert parsed.count == 5
     assert parsed.flags == ()
+
+
+def test_parse_csv_pairs_only_what_the_solver_paired():
+    # at k=50 just below theta_cr the solver reports a pile of noise roots
+    # (ROADMAP item 2); the extras ride in the overflow flag, and the x0/x2
+    # columns are not the pair it reported
+    rows = [row_from_report(find_h_roots(theta_cr(50) * (1 - 1e-10), 50)),
+            ScanRow(k=3, theta=0.1, theta_cr=0.25, count=5,
+                    roots=(0.125, 0.5, 1.0, 2.0, 30.0),
+                    pairs=((0.5, 2.0),), flags=())]
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    for row, parsed in zip(rows, parse_csv(io.StringIO(buf.getvalue()))):
+        assert parsed.roots == row.roots
+        assert set(parsed.pairs) <= set(row.pairs)
 
 
 def test_csv_error_row_renders_empty_fields():
