@@ -111,6 +111,20 @@ def test_roots_csv(capsys):
     assert lines[1].startswith("3,0.1")
 
 
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"),
+                                      ("csv", "csv")])
+@pytest.mark.parametrize("k, theta", [("3", "0.1"), ("3", "0.25"),
+                                      ("3", "0.5"), ("4", "0.2"),
+                                      ("10", "0.1")])
+def test_roots_matches_golden(capsys, k, theta, fmt, ext):
+    # below, at and above theta_cr: every field of every format, byte for byte
+    golden = GOLDEN.parent / f"roots_k{k}_theta{theta}.{ext}"
+    code, out, _ = run(capsys, "roots", "--k", k, "--theta", theta,
+                       "--format", fmt)
+    assert code == 0
+    assert out.encode("ascii") == golden.read_bytes()
+
+
 def test_roots_accepts_coupling_pair(capsys):
     # theta = exp(J*beta) = exp(-1) ~ 0.368, above the k=3 threshold
     code, out, _ = run(capsys, "roots", "--k", "3", "--J", "-0.5",
