@@ -21,10 +21,10 @@ _EXPORTS = {
                 "domain_bounds", "f_scalar", "g_scalar", "h_prime",
                 "h_scalar", "p_coefficients", "period2_map",
                 "sign_relation_check", "theta_cr"),
-    "solver": ("BisectionError", "RootReport", "bisect", "find_h_roots",
+    "solver": ("BisectionError", "ScanRow", "bisect", "find_h_roots",
                "fixed_point_iterate", "scan_brackets"),
-    "scan": ("CSV_HEADER", "ScanRow", "emit_csv", "emit_json", "parse_csv",
-             "row_from_report", "scan_theta"),
+    "scan": ("CSV_HEADER", "emit_csv", "emit_json", "parse_csv",
+             "scan_theta"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

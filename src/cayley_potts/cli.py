@@ -99,6 +99,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.perturb is not None and not math.isfinite(args.perturb):
+        raise ValueError(f"--perturb must be finite, got {args.perturb}")
     params = ModelParams.from_theta(args.k, args.q, theta)
     tree = build_tree(args.k, args.n)
 

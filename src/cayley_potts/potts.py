@@ -275,31 +275,14 @@ def _enum_tables(k: int, depth: int, q: int):
     return tables
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureTable:
-    """Exact finite-volume measure as a dense probability table over all
-    q**N configurations, indexed by the base-q encoding."""
-
-    probs: np.ndarray
-    tree: FiniteTree
-    q: int
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def probability(self, spins: Sequence[int]) -> float:
-        return float(self.probs[config_index(spins, self.q)])
-
-    def config_at(self, index: int) -> tuple[int, ...]:
-        return config_at(index, self.tree.n_vertices, self.q)
-
-
 def finite_volume_measure(tree: FiniteTree, boundary_fields,
-                          params: ModelParams) -> MeasureTable:
+                          params: ModelParams) -> np.ndarray:
     """Exhaustive measure with weights theta^{mono edges} * exp(boundary sum).
 
     boundary_fields: (|W_n|, q-1) array, one row per depth-n vertex in
-    ascending index order.  Probabilities are positive and sum to 1.
+    ascending index order.  Returns the read-only probabilities of all
+    q**N configurations, indexed by config_index; they are positive and
+    sum to 1.
     """
     _check_k(tree, params)
     q = params.q
@@ -331,7 +314,7 @@ def finite_volume_measure(tree: FiniteTree, boundary_fields,
     z = float(np.repeat(w[order], counts[order]).sum())
     probs = (w / z)[cell]
     probs.setflags(write=False)
-    return MeasureTable(probs=probs, tree=tree, q=q)
+    return probs
 
 
 def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
@@ -362,5 +345,5 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
     mu_prev = finite_volume_measure(sub, F[inner.start:inner.stop], params)
 
     block = q**sub.n_vertices
-    marginal = mu_n.probs.reshape(-1, block).sum(axis=0)
-    return float(np.max(np.abs(marginal - mu_prev.probs)))
+    marginal = mu_n.reshape(-1, block).sum(axis=0)
+    return float(np.max(np.abs(marginal - mu_prev)))

@@ -1,44 +1,29 @@
 """Activity sweeps and every output format of ``roots`` and ``scan``.
 
-Text, CSV and JSON all render here; a ``roots`` report's CSV is a one-row
-scan.  The CSV has a fixed 8-column schema with 17-significant-digit
-decimals, so a file round-trips to the exact same floats; the JSON mirrors
-its field names with full root lists.  Output is ASCII, deterministic byte
-for byte, and goes through one writer.
+There is one result record, ``ScanRow``: ``find_h_roots`` returns one and
+a sweep is a list of them.  Text, CSV and JSON all render here; a ``roots``
+report is one row, and its CSV is a one-row scan.  The report's extra
+fields (the domain, each root's residual and kind) are recomputed from the
+row by the same calls the solver makes, so they match it bit for bit.
+
+The CSV has a fixed 8-column schema with 17-significant-digit decimals, so
+a file round-trips to the exact same floats; the JSON mirrors its field
+names with full root lists.  Output is ASCII, deterministic byte for byte,
+and goes through one writer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._args import check_int
-from .period2 import theta_cr
-from .solver import (KIND_TRANSLATION_INVARIANT, RootReport, _linspace,
-                     find_h_roots)
+from .period2 import domain_bounds, h_scalar, theta_cr
+from .solver import ScanRow, _linspace, find_h_roots
 
 CSV_HEADER = "k,theta,theta_cr,count,x0,x1,x2,flags"
 FORMATS = ("text", "csv", "json")
 _OVERFLOW_PREFIX = "overflow:"
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    k: int
-    theta: float
-    theta_cr: float
-    count: int
-    roots: tuple[float, ...]                 # ascending
-    pairs: tuple[tuple[float, float], ...]
-    flags: tuple[str, ...]
-
-
-def row_from_report(report: RootReport) -> ScanRow:
-    return ScanRow(k=report.k, theta=report.theta, theta_cr=report.theta_cr,
-                   count=report.count,
-                   roots=tuple(e.x for e in report.roots),
-                   pairs=report.pairs, flags=report.flags)
 
 
 def scan_theta(k: int, theta_lo: float, theta_hi: float,
@@ -58,9 +43,9 @@ def scan_theta(k: int, theta_lo: float, theta_hi: float,
     rows = []
     for theta in _linspace(theta_lo, theta_hi, steps):
         try:
-            rows.append(row_from_report(find_h_roots(theta, k)))
+            rows.append(find_h_roots(theta, k))
         except (ValueError, ArithmeticError) as exc:
-            rows.append(ScanRow(k=k, theta=theta, theta_cr=t_cr, count=0,
+            rows.append(ScanRow(k=k, theta=theta, theta_cr=t_cr,
                                 roots=(), pairs=(),
                                 flags=(f"error:{type(exc).__name__}",)))
     return rows
@@ -128,35 +113,41 @@ def _rows_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_json(report: RootReport) -> str:
+def _kind(x: float) -> str:
+    # the solver injects the fixed point as exactly 1.0
+    return "translation-invariant" if x == 1.0 else "period-2"
+
+
+def _report_json(row: ScanRow) -> str:
+    t1, t2 = domain_bounds(row.theta, row.k)
     payload = {
-        "k": report.k, "theta": report.theta, "theta_cr": report.theta_cr,
-        "theta_1": report.theta_1, "theta_2": report.theta_2,
-        "count": report.count,
-        "roots": [{"x": e.x, "residual": e.residual, "kind": e.kind}
-                  for e in report.roots],
-        "pairs": [list(p) for p in report.pairs],
-        "flags": list(report.flags),
+        "k": row.k, "theta": row.theta, "theta_cr": row.theta_cr,
+        "theta_1": t1, "theta_2": t2,
+        "count": row.count,
+        "roots": [{"x": x, "residual": abs(h_scalar(x, row.theta, row.k)),
+                   "kind": _kind(x)} for x in row.roots],
+        "pairs": [list(p) for p in row.pairs],
+        "flags": list(row.flags),
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _report_text(report: RootReport) -> str:
-    n_ti = sum(1 for e in report.roots if e.kind == KIND_TRANSLATION_INVARIANT)
-    n_p2 = report.count - n_ti
+def _report_text(row: ScanRow) -> str:
+    t1, t2 = domain_bounds(row.theta, row.k)
+    n_ti = row.roots.count(1.0)
     lines = [
-        f"k={report.k}  theta={report.theta:.12g}  "
-        f"theta_cr={report.theta_cr:.12g}",
-        f"domain: ({report.theta_1:.12g}, {report.theta_2:.12g})",
-        f"count={report.count}: {n_ti} translation-invariant + "
-        f"{n_p2} period-2",
+        f"k={row.k}  theta={row.theta:.12g}  theta_cr={row.theta_cr:.12g}",
+        f"domain: ({t1:.12g}, {t2:.12g})",
+        f"count={row.count}: {n_ti} translation-invariant + "
+        f"{row.count - n_ti} period-2",
     ]
-    for e in report.roots:
-        lines.append(f"  x = {e.x:<22.17g} |h(x)| = {e.residual:<12.3e} "
-                     f"{e.kind}")
-    for x0, x2 in report.pairs:
+    for x in row.roots:
+        residual = abs(h_scalar(x, row.theta, row.k))
+        lines.append(f"  x = {x:<22.17g} |h(x)| = {residual:<12.3e} "
+                     f"{_kind(x)}")
+    for x0, x2 in row.pairs:
         lines.append(f"orbit pair: f({x0:.12g}) = {x2:.12g}")
-    lines.append("flags: " + (";".join(report.flags) if report.flags
+    lines.append("flags: " + (";".join(row.flags) if row.flags
                               else "(none)"))
     return "\n".join(lines) + "\n"
 
@@ -169,11 +160,11 @@ def render_rows(rows, fmt: str) -> str:
     return render(rows)
 
 
-def render_report(report: RootReport, fmt: str) -> str:
+def render_report(row: ScanRow, fmt: str) -> str:
     """One activity's roots in one of FORMATS; the CSV is a one-row scan."""
     if fmt == "csv":
-        return _csv_text([row_from_report(report)])
-    return {"text": _report_text, "json": _report_json}[fmt](report)
+        return render_rows([row], "csv")
+    return {"text": _report_text, "json": _report_json}[fmt](row)
 
 
 def emit_csv(rows, destination) -> None:
@@ -219,13 +210,12 @@ def parse_csv(source) -> list[ScanRow]:
             else:
                 flags.append(flag)
         roots = sorted([float(p) for p in parts[4:7] if p] + extras)
-        count = int(parts[3])
-        if count != len(roots):
+        if int(parts[3]) != len(roots):
             raise ValueError(f"count column disagrees with roots: {ln!r}")
         pairs = (((float(parts[4]), float(parts[6])),)
                  if parts[4] and parts[6] and not extras else ())
         rows.append(ScanRow(k=int(parts[0]), theta=float(parts[1]),
-                            theta_cr=float(parts[2]), count=count,
+                            theta_cr=float(parts[2]),
                             roots=tuple(roots), pairs=pairs,
                             flags=tuple(flags)))
     return rows

@@ -10,7 +10,7 @@ fine scans around x = 1 catch the two-cycle pair as it collapses into the
 fixed point near the critical activity.
 
 Everything here is pure and deterministic: identical inputs give
-bit-identical reports.
+bit-identical rows.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ NOISE_FLOOR = 1e-14
 # |f(x0) - x2| tolerance for orbit pairing, relative to x2, which reaches
 # theta^-k and so spans many decades
 PAIR_TOL = 1e-8
-
-KIND_TRANSLATION_INVARIANT = "translation-invariant"
-KIND_PERIOD2 = "period-2"
 
 
 @dataclass(frozen=True)
@@ -156,20 +153,14 @@ def bisect(fn: Callable[[float], float], bracket: Bracket,
 
 
 @dataclass(frozen=True)
-class RootEntry:
-    x: float
-    residual: float           # |h(x)|
-    kind: str                 # KIND_TRANSLATION_INVARIANT or KIND_PERIOD2
+class ScanRow:
+    """The roots of h at one activity: the result of ``find_h_roots`` and
+    one row of a sweep."""
 
-
-@dataclass(frozen=True)
-class RootReport:
-    theta: float
     k: int
+    theta: float
     theta_cr: float
-    theta_1: float
-    theta_2: float
-    roots: tuple[RootEntry, ...]   # ascending in x
+    roots: tuple[float, ...]                 # ascending
     pairs: tuple[tuple[float, float], ...]
     flags: tuple[str, ...]
 
@@ -178,8 +169,8 @@ class RootReport:
         return len(self.roots)
 
 
-def find_h_roots(theta: float, k: int) -> RootReport:
-    """All roots of h on the clamped domain, classified and orbit-paired.
+def find_h_roots(theta: float, k: int) -> ScanRow:
+    """All roots of h on the clamped domain, ascending and orbit-paired.
 
     Below theta_cr(k) the count is 3: the fixed point x = 1 plus a two-cycle
     pair (x0, x2) with x0 < 1 < x2 and f(x0) = x2.  Roots closer together
@@ -279,16 +270,11 @@ def find_h_roots(theta: float, k: int) -> RootReport:
     if near_degenerate:
         flags.append("near-degenerate")
 
-    roots = tuple(
-        RootEntry(x=root, residual=res,
-                  kind=(KIND_TRANSLATION_INVARIANT if root == 1.0
-                        else KIND_PERIOD2))
-        for root, res in merged)
+    roots = tuple(root for root, _ in merged)
 
-    below = [e.x for e in roots if e.kind == KIND_PERIOD2 and e.x < 1.0]
-    above = [e.x for e in roots if e.kind == KIND_PERIOD2 and e.x > 1.0]
+    below = [x for x in roots if x < 1.0]
+    unused = [x for x in roots if x > 1.0]
     pairs: list[tuple[float, float]] = []
-    unused = list(above)
     for x0 in below:
         fx = f_scalar(x0, theta, k)
         if not unused:
@@ -298,9 +284,8 @@ def find_h_roots(theta: float, k: int) -> RootReport:
             pairs.append((x0, partner))
             unused.remove(partner)
 
-    return RootReport(theta=theta, k=k, theta_cr=t_cr,
-                      theta_1=t1, theta_2=t2, roots=roots,
-                      pairs=tuple(pairs), flags=tuple(flags))
+    return ScanRow(k=k, theta=theta, theta_cr=t_cr, roots=roots,
+                   pairs=tuple(pairs), flags=tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -327,7 +312,7 @@ def fixed_point_iterate(map_fn: Callable[[tuple], Sequence[float]],
     if not (z and all(0.0 < v < math.inf for v in z)):
         raise ValueError("z0 must be a vector of positive finite components")
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     check_int("max_iter", max_iter, 0)
 
     for iteration in range(max_iter + 1):

@@ -48,10 +48,10 @@ def test_criterion_01_three_root_regime():
             if rep.count != 3:
                 problems.append(f"{tag}: count={rep.count}")
                 continue
-            x0, x1, x2 = (e.x for e in rep.roots)
+            x0, x1, x2 = rep.roots
             if not x0 < 1.0 < x2:
                 problems.append(f"{tag}: roots do not straddle 1")
-            if max(e.residual for e in rep.roots) > 1e-10:
+            if max(abs(h_scalar(x, rep.theta, k)) for x in rep.roots) > 1e-10:
                 problems.append(f"{tag}: residual too large")
             closure = abs(f_scalar(f_scalar(x0, theta, k), theta, k) - x0)
             if closure > 1e-8:

@@ -302,6 +302,18 @@ def test_verify_fails_on_perturbed_field(capsys):
     assert out.splitlines()[-1].startswith("FAIL")
 
 
+@pytest.mark.parametrize("perturb", ["inf", "-inf", "nan"])
+def test_verify_refuses_non_finite_perturb(capsys, monkeypatch, perturb):
+    def no_tree(*args):
+        raise AssertionError("the tree was built before --perturb was checked")
+
+    monkeypatch.setattr("cayley_potts.tree.build_tree", no_tree)
+    code, out, err = run(capsys, "verify", "--k", "2", "--n", "2",
+                         "--theta", "0.5", f"--perturb={perturb}")
+    assert code == 1 and out == ""
+    assert err == f"error: --perturb must be finite, got {float(perturb)}\n"
+
+
 def test_verify_enumeration_guard(capsys):
     code, _, err = run(capsys, "verify", "--k", "3", "--n", "3",
                        "--theta", "0.5")

@@ -15,7 +15,7 @@ SUBMODULES = (tree, potts, period2, solver, scan)
 
 
 def test_public_names_are_their_submodules_objects():
-    assert len(cayley_potts.__all__) == 42
+    assert len(cayley_potts.__all__) == 40
     assert cayley_potts.__all__[-1] == "__version__"
     for name in cayley_potts.__all__[:-1]:
         value = getattr(cayley_potts, name)
@@ -36,6 +36,8 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         cayley_potts.no_such_name
     assert not hasattr(cayley_potts, "ThetaDomain")
+    assert not hasattr(cayley_potts, "RootReport")
+    assert not hasattr(cayley_potts, "row_from_report")
 
 
 def test_scalar_layers_load_without_numpy():

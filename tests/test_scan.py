@@ -10,7 +10,7 @@ import pytest
 import cayley_potts.scan as scan_mod
 from cayley_potts.period2 import theta_cr
 from cayley_potts.scan import (CSV_HEADER, ScanRow, emit_csv, emit_json,
-                               parse_csv, row_from_report, scan_theta)
+                               parse_csv, scan_theta)
 from cayley_potts.solver import BisectionError, Bracket, find_h_roots
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
@@ -56,7 +56,7 @@ def test_scan_theta_column_is_numpy_linspace():
 
 def test_scan_matches_root_reports():
     row = scan_theta(3, 0.1, 0.2, 1)[0]
-    assert row == row_from_report(find_h_roots(0.1, 3))
+    assert row == find_h_roots(0.1, 3)
 
 
 def test_scan_validation():
@@ -128,7 +128,7 @@ def test_csv_roundtrip_exact():
 
 
 def test_csv_overflow_column():
-    row = ScanRow(k=3, theta=0.1, theta_cr=0.25, count=5,
+    row = ScanRow(k=3, theta=0.1, theta_cr=0.25,
                   roots=(0.125, 0.5, 1.0, 2.0, 30.0), pairs=(), flags=())
     buf = io.StringIO()
     emit_csv([row], buf)
@@ -144,8 +144,8 @@ def test_parse_csv_pairs_only_what_the_solver_paired():
     # at k=50 just below theta_cr the solver reports a pile of noise roots
     # (ROADMAP item 2); the extras ride in the overflow flag, and the x0/x2
     # columns are not the pair it reported
-    rows = [row_from_report(find_h_roots(theta_cr(50) * (1 - 1e-10), 50)),
-            ScanRow(k=3, theta=0.1, theta_cr=0.25, count=5,
+    rows = [find_h_roots(theta_cr(50) * (1 - 1e-10), 50),
+            ScanRow(k=3, theta=0.1, theta_cr=0.25,
                     roots=(0.125, 0.5, 1.0, 2.0, 30.0),
                     pairs=((0.5, 2.0),), flags=())]
     buf = io.StringIO()
@@ -156,7 +156,7 @@ def test_parse_csv_pairs_only_what_the_solver_paired():
 
 
 def test_csv_error_row_renders_empty_fields():
-    row = ScanRow(k=3, theta=0.5, theta_cr=0.25, count=0, roots=(),
+    row = ScanRow(k=3, theta=0.5, theta_cr=0.25, roots=(),
                   pairs=(), flags=("error:BisectionError",))
     buf = io.StringIO()
     emit_csv([row], buf)

@@ -8,8 +8,7 @@ import pytest
 from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
                                   h_scalar, period2_map, theta_cr)
 from cayley_potts.potts import ModelParams, check_consistency, propagate_fields
-from cayley_potts.solver import (KIND_PERIOD2, KIND_TRANSLATION_INVARIANT,
-                                 BisectionError, Bracket, _linspace, bisect,
+from cayley_potts.solver import (BisectionError, Bracket, _linspace, bisect,
                                  find_h_roots, fixed_point_iterate,
                                  scan_brackets)
 from cayley_potts.tree import build_tree, sphere
@@ -145,14 +144,14 @@ def test_find_h_roots_reference_case():
     report = find_h_roots(THETA, K)
     assert report.count == 3
     assert report.theta_cr == 0.25
-    xs = [e.x for e in report.roots]
+    xs = list(report.roots)
     assert xs[0] < 1.0 < xs[2]
     assert xs[1] == 1.0
     assert xs[0] == pytest.approx(X0_GOLDEN, rel=1e-13)
     assert xs[2] == pytest.approx(X2_GOLDEN, rel=1e-13)
-    kinds = [e.kind for e in report.roots]
-    assert kinds == [KIND_PERIOD2, KIND_TRANSLATION_INVARIANT, KIND_PERIOD2]
-    assert all(e.residual <= 1e-10 for e in report.roots)
+    kinds = [x == 1.0 for x in report.roots]
+    assert kinds == [False, True, False]
+    assert all(abs(h_scalar(x, THETA, K)) <= 1e-10 for x in report.roots)
     assert report.flags == ()
 
     ((x0, x2),) = report.pairs
@@ -165,8 +164,7 @@ def test_find_h_roots_other_orders():
     assert find_h_roots(0.2, 4).count == 3
     report = find_h_roots(0.5, K)
     assert report.count == 1
-    assert report.roots[0].x == 1.0
-    assert report.roots[0].kind == KIND_TRANSLATION_INVARIANT
+    assert report.roots[0] == 1.0
     assert report.pairs == ()
 
 
@@ -175,7 +173,7 @@ def test_find_h_roots_pairs_partner_far_above_one():
     report = find_h_roots(0.1, 10)
     assert report.count == 3
     ((x0, x2),) = report.pairs
-    assert (x0, x2) == (report.roots[0].x, report.roots[2].x)
+    assert (x0, x2) == (report.roots[0], report.roots[2])
     assert x2 > 6e9
     assert abs(f_scalar(x0, 0.1, 10) / x2 - 1.0) <= 1e-14
 
@@ -185,7 +183,7 @@ def test_find_h_roots_at_critical_activity():
     # separation; the report says so instead of inventing distinct roots
     report = find_h_roots(0.25, 3)
     assert report.count == 1
-    assert report.roots[0].x == 1.0
+    assert report.roots[0] == 1.0
     assert "near-degenerate" in report.flags
 
 
@@ -196,8 +194,7 @@ def test_find_h_roots_single_root_from_critical_activity(k):
     t_cr = theta_cr(k)
     for theta in (t_cr, math.nextafter(t_cr, 1.0), t_cr * (1 + 1e-9)):
         report = find_h_roots(theta, k)
-        assert [e.x for e in report.roots] == [1.0]
-        assert report.roots[0].kind == KIND_TRANSLATION_INVARIANT
+        assert list(report.roots) == [1.0]
         assert report.pairs == ()
         assert "near-degenerate" in report.flags
 
@@ -221,7 +218,7 @@ def test_find_h_roots_dual_method_agreement():
     for _ in range(300):
         x = f_scalar(f_scalar(x, THETA, K), THETA, K)
     report = find_h_roots(THETA, K)
-    assert abs(x - report.roots[0].x) <= 1e-8
+    assert abs(x - report.roots[0]) <= 1e-8
 
 
 def test_find_h_roots_numpy_integer_k_overflow_is_named():
@@ -232,7 +229,7 @@ def test_find_h_roots_numpy_integer_k_overflow_is_named():
 
 
 def test_find_h_roots_numpy_scalars_give_the_plain_report():
-    # numpy arithmetic inside h would be slower and leave np.float64 residuals
+    # numpy arithmetic inside h would be slower and leave np.float64 roots
     assert repr(find_h_roots(0.1, np.int64(3))) == repr(find_h_roots(0.1, 3))
     assert (repr(find_h_roots(np.float64(0.1), 3))
             == repr(find_h_roots(0.1, 3)))
@@ -331,6 +328,8 @@ def test_iterate_validation():
         fixed_point_iterate(doubled(), np.array([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         fixed_point_iterate(doubled(), np.ones(4), tol=0.0)
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        fixed_point_iterate(doubled(), np.ones(4), tol=math.inf)
     with pytest.raises(ValueError):
         fixed_point_iterate(doubled(), np.ones(4), max_iter=-1)
 
