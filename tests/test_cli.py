@@ -332,6 +332,24 @@ def test_verify_deterministic_for_fixed_seed(capsys):
 # ------------------------------------------------------------------ orbit
 
 
+@pytest.mark.parametrize("command", [
+    "--k 3 --theta 0.1 --z 1.2,1.2,0.8,0.8",
+    "--k 3 --theta 0.1 --z 2,1,1,3",
+    "--k 4 --theta 0.15 --z 0.7,0.7,1.9,1.9",
+    "--k 3 --theta 1.5 --z 2,1,1,3 --max-iter 200",
+])
+def test_orbit_matches_golden(capsys, command):
+    # every step line, mark and closing line of a converging run, byte for
+    # byte; the file name spells the flags: "--k 3 --z 2,1" is orbit_k3_z2_1
+    flags = command.split()
+    stem = "_".join(flag[2:] + value.replace(",", "_")
+                    for flag, value in zip(flags[::2], flags[1::2]))
+    code, out, _ = run(capsys, "orbit", *flags)
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN.parent
+                                   / f"orbit_{stem}.txt").read_bytes()
+
+
 def test_orbit_on_invariant_set(capsys):
     code, out, _ = run(capsys, "orbit", "--k", "3", "--theta", "0.1",
                        "--z", "1.2,1.2,0.8,0.8")
