@@ -22,7 +22,7 @@ _EXPORTS = {
                 "h_scalar", "p_coefficients", "period2_map",
                 "sign_relation_check", "theta_cr"),
     "solver": ("BisectionError", "ScanRow", "bisect", "find_h_roots",
-               "fixed_point_iterate", "scan_brackets"),
+               "scan_brackets"),
     "scan": ("CSV_HEADER", "emit_csv", "emit_json", "parse_csv",
              "scan_theta"),
 }

@@ -21,10 +21,10 @@ import math
 import sys
 
 from . import __version__
-from ._args import activity
+from ._args import activity, check_int
 from .period2 import period2_map, sign_relation_check
 from .scan import FORMATS, render_report, render_rows, scan_theta, write_text
-from .solver import find_h_roots, fixed_point_iterate
+from .solver import find_h_roots
 
 # numpy and potts are imported inside verify, and tree inside verify and
 # tree-check; every other subcommand runs on math alone
@@ -95,10 +95,9 @@ def cmd_verify(args) -> int:
     from .tree import build_tree, sphere
 
     theta = _resolve_theta(args)
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    check_int("--n", args.n, 1)
+    check_int("--trials", args.trials, 1)
+    check_int("--seed", args.seed, 0)
     if args.perturb is not None and not math.isfinite(args.perturb):
         raise ValueError(f"--perturb must be finite, got {args.perturb}")
     params = ModelParams.from_theta(args.k, args.q, theta)
@@ -154,12 +153,15 @@ def _relation_marks(z_in, z_out, theta: float) -> str:
 def cmd_orbit(args) -> int:
     theta = _resolve_theta(args)
     try:
-        z0 = tuple(float(s) for s in args.z.split(","))
+        z = tuple(float(s) for s in args.z.split(","))
     except ValueError:
         raise ValueError(f"--z must be four comma-separated numbers, "
                          f"got {args.z!r}") from None
-    if len(z0) != 4 or not all(0.0 < v < math.inf for v in z0):
+    if len(z) != 4 or not all(0.0 < v < math.inf for v in z):
         raise ValueError("--z must be four positive finite numbers")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    check_int("--max-iter", args.max_iter, 0)
 
     check_relations = theta < 1.0
     lines = [f"orbit: k={args.k} theta={theta:.12g} z0=({args.z}) "
@@ -168,27 +170,26 @@ def cmd_orbit(args) -> int:
         lines.append("warning: outside antiferromagnetic regime "
                      "(theta >= 1); sign-relation checks skipped")
 
-    trace: list[tuple[tuple, tuple]] = []
-
-    def doubled(z: tuple) -> tuple:
+    # one pass is a double-step z -> mid -> z_next, printed as two steps;
+    # z is accepted at most max_iter times, so z is always the input of
+    # the last printed double-step
+    for iteration in range(args.max_iter + 1):
         mid = period2_map(z, theta, args.k)
-        trace.append((z, mid))
-        out = period2_map(mid, theta, args.k)
-        trace.append((mid, out))
-        return out
+        z_next = period2_map(mid, theta, args.k)
+        for step, (z_in, z_out) in enumerate(((z, mid), (mid, z_next)),
+                                             start=2 * iteration + 1):
+            marks = (_relation_marks(z_in, z_out, theta)
+                     if check_relations else "")
+            zs = " ".join(f"{v:.12g}" for v in z_out)
+            lines.append(f"  step {step:3d}: z = ({zs})  {marks}".rstrip())
+        # all(), not max(): a NaN update must not count as converged
+        converged = all(abs(a - b) <= args.tol for a, b in zip(z_next, z))
+        if converged or iteration == args.max_iter:
+            break
+        z = z_next
 
-    result = fixed_point_iterate(doubled, z0, tol=args.tol,
-                                 max_iter=args.max_iter)
-
-    for step, (z_in, z_out) in enumerate(trace, start=1):
-        marks = (_relation_marks(z_in, z_out, theta)
-                 if check_relations else "")
-        zs = " ".join(f"{v:.12g}" for v in z_out)
-        lines.append(f"  step {step:3d}: z = ({zs})  {marks}".rstrip())
-
-    z = result.z
-    if result.converged:
-        lines.append(f"converged after {result.iterations} double-steps")
+    if converged:
+        lines.append(f"converged after {iteration} double-steps")
         lines.append(f"limit z = ({', '.join(f'{v:.17g}' for v in z)})")
         lines.append(f"invariant-set residuals: |z1-z2| = {abs(z[0]-z[1]):.3e}, "
                      f"|z3-z4| = {abs(z[2]-z[3]):.3e}")
@@ -196,7 +197,7 @@ def cmd_orbit(args) -> int:
         lines.append(f"no convergence within {args.max_iter} double-steps; "
                      f"last z = ({', '.join(f'{v:.17g}' for v in z)})")
     _emit_text("\n".join(lines) + "\n", args)
-    return 0 if result.converged else 2
+    return 0 if converged else 2
 
 
 def cmd_tree_check(args) -> int:

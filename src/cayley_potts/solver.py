@@ -1,4 +1,4 @@
-"""Deterministic bracketed root finding and two-cycle enumeration.
+"""Deterministic bracketed root finding: the roots of h and their orbit pairs.
 
 ``find_h_roots`` locates every root of h on the clamped interval
 (theta_1, theta_2).  The interval spans many decades (its upper end grows
@@ -10,14 +10,15 @@ fine scans around x = 1 catch the two-cycle pair as it collapses into the
 fixed point near the critical activity.
 
 Everything here is pure and deterministic: identical inputs give
-bit-identical rows.
+bit-identical rows.  Nothing here iterates the parity map: the ``orbit``
+subcommand does that in the loop that prints each step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from ._args import check_int
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
@@ -287,38 +288,3 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
     return ScanRow(k=k, theta=theta, theta_cr=t_cr, roots=roots,
                    pairs=tuple(pairs), flags=tuple(flags))
 
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    z: tuple[float, ...]
-    iterations: int
-    converged: bool
-
-
-def fixed_point_iterate(map_fn: Callable[[tuple], Sequence[float]],
-                        z0: Sequence[float], tol: float = 1e-10,
-                        max_iter: int = 500) -> FixedPointResult:
-    """Iterate z <- map_fn(z) until the sup-norm update drops to tol.
-
-    z0 is a non-empty sequence of positive finite numbers; map_fn gets, and
-    the result holds, z as a tuple of floats.  On convergence the returned
-    z satisfies ||map_fn(z) - z||_inf <= tol; iterations counts accepted
-    updates, so a z0 that already satisfies the tolerance reports 0.
-    Callers chasing two-cycles pass the twice-composed map so that cycle
-    points become fixed points.  Non-convergence is reported via
-    converged=False with the last iterate, not an exception.
-    """
-    z = tuple(float(v) for v in z0)
-    if not (z and all(0.0 < v < math.inf for v in z)):
-        raise ValueError("z0 must be a vector of positive finite components")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    check_int("max_iter", max_iter, 0)
-
-    for iteration in range(max_iter + 1):
-        z_next = tuple(float(v) for v in map_fn(z))
-        # all(), not max(): a NaN update must not count as converged
-        if all(abs(a - b) <= tol for a, b in zip(z_next, z, strict=True)):
-            return FixedPointResult(z=z, iterations=iteration, converged=True)
-        z = z_next
-    return FixedPointResult(z=z, iterations=max_iter, converged=False)

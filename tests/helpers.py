@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from cayley_potts.period2 import DomainError, domain_bounds
 from cayley_potts.tree import FiniteTree
 
 
@@ -35,27 +34,6 @@ def f_map_rowwise(h, q: int, theta: float) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError("field map produced a non-finite component")
     return out
-
-
-def clamp_to_domain(x: float, theta: float, k: int,
-                    margin: float = 1e-12) -> tuple[float, bool]:
-    """Pull x to at least the given relative margin inside (theta_1, theta_2).
-
-    Returns (possibly moved point, moved flag) so callers can tell an
-    endpoint blow-up apart from an interior value instead of meeting a
-    raised DomainError or an infinity.
-    """
-    lo, hi = domain_bounds(theta, k)
-    if not lo < hi:
-        raise DomainError(f"empty domain: theta_1={lo} >= theta_2={hi} "
-                          f"(needs theta < 1)")
-    a = lo * (1.0 + margin)
-    b = hi * (1.0 - margin)
-    if x < a:
-        return a, True
-    if x > b:
-        return b, True
-    return float(x), False
 
 
 def bfs_oracle(k: int, n: int):

@@ -321,6 +321,19 @@ def test_verify_enumeration_guard(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("flag, value, minimum", [
+    ("--seed", "-1", 0), ("--n", "0", 1), ("--trials", "0", 1),
+])
+def test_verify_integer_flags_are_named(capsys, flag, value, minimum):
+    argv = {"--k": "2", "--n": "1", "--theta": "0.5", "--trials": "1"}
+    argv[flag] = value
+    code, out, err = run(capsys, "verify",
+                         *(arg for pair in argv.items() for arg in pair))
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be an integer >= {minimum}, " \
+                  f"got {value}\n"
+
+
 def test_verify_deterministic_for_fixed_seed(capsys):
     args = ("verify", "--k", "2", "--n", "1", "--theta", "0.3",
             "--trials", "4", "--seed", "11")
@@ -393,6 +406,23 @@ def test_orbit_reports_non_convergence(capsys):
                        "--z", "40,0.02,9,0.01", "--max-iter", "2")
     assert code == 2
     assert "no convergence within 2 double-steps; last z = (" in out
+
+
+def test_orbit_reports_the_z_after_the_accepted_double_steps(capsys):
+    # --max-iter N accepts N double-steps; the check that fails after them
+    # prints one more, so the reported z is that double-step's input
+    start = ("orbit", "--k", "3", "--theta", "0.1", "--z", "1.2,1.3,0.8,0.7")
+    code, out, _ = run(capsys, *start, "--max-iter", "1")
+    assert code == 2
+    steps = re.findall(r"^  step +\d+: z = \((.*)\)  ", out, re.M)
+    assert len(steps) == 4
+    last = re.search(r"; last z = \((.*)\)$", out, re.M).group(1)
+    assert " ".join(f"{float(v):.12g}" for v in last.split(", ")) == steps[1]
+
+    code, out, _ = run(capsys, *start, "--max-iter", "0")
+    assert code == 2
+    last = re.search(r"; last z = \((.*)\)$", out, re.M).group(1)
+    assert tuple(float(v) for v in last.split(", ")) == (1.2, 1.3, 0.8, 0.7)
 
 
 def test_orbit_float_range_exit_is_numerical_failure(capsys):

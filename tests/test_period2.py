@@ -13,7 +13,6 @@ from cayley_potts.period2 import (DomainError,
                                   h_prime, h_scalar, p_coefficients,
                                   period2_map, sign_relation_check,
                                   theta_cr)
-from helpers import clamp_to_domain
 
 # frozen extended-precision values (60 decimal digits, two methods agreeing)
 F_AT_2 = 0.4754428983909113        # f(2), theta=0.1, k=3
@@ -77,16 +76,6 @@ def test_domain_straddles_one():
     for theta in (0.05, 0.2, 0.5, 0.9):
         t1, t2 = domain_bounds(theta, 3)
         assert t1 < 1 < t2
-
-
-def test_clamp_to_domain():
-    t1, t2 = domain_bounds(0.1, 3)
-    x, moved = clamp_to_domain(1.0, 0.1, 3)
-    assert x == 1.0 and not moved
-    x, moved = clamp_to_domain(t1 / 2, 0.1, 3)
-    assert moved and t1 < x < t2
-    x, moved = clamp_to_domain(t2 * 2, 0.1, 3)
-    assert moved and t1 < x < t2
 
 
 # ------------------------------------------------------------- period2_map

@@ -1,27 +1,24 @@
-"""Bracketed bisection, the h-root enumeration, and fixed-point iteration."""
+"""Bracketed bisection, the h-root enumeration, and the two-cycle iteration
+that ``orbit`` runs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cayley_potts import cli
 from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
                                   h_scalar, period2_map, theta_cr)
 from cayley_potts.potts import ModelParams, check_consistency, propagate_fields
 from cayley_potts.solver import (BisectionError, Bracket, _linspace, bisect,
-                                 find_h_roots, fixed_point_iterate,
-                                 scan_brackets)
+                                 find_h_roots, scan_brackets)
 from cayley_potts.tree import build_tree, sphere
-from helpers import clamp_to_domain
 
 X0_GOLDEN = 0.19649931210530602  # theta=0.1, k=3, 60-digit dual-method value
 X2_GOLDEN = 15.011479580653047
 
 THETA, K = 0.1, 3
-
-
-def doubled(theta: float = THETA, k: int = K):
-    return lambda z: period2_map(period2_map(z, theta, k), theta, k)
 
 
 # ---------------------------------------------------------------- brackets
@@ -65,16 +62,14 @@ def test_scan_brackets_line():
 
 def test_scan_brackets_h_below_threshold():
     t1, t2 = domain_bounds(THETA, K)
-    lo, _ = clamp_to_domain(t1, THETA, K, margin=1e-9)
-    hi, _ = clamp_to_domain(t2, THETA, K, margin=1e-9)
+    lo, hi = t1 * (1 + 1e-9), t2 * (1 - 1e-9)
     found = scan_brackets(lambda x: h_scalar(x, THETA, K), lo, hi, 2000)
     assert len(found) == 3
 
 
 def test_scan_brackets_h_above_threshold():
     t1, t2 = domain_bounds(0.3, K)
-    lo, _ = clamp_to_domain(t1, 0.3, K, margin=1e-9)
-    hi, _ = clamp_to_domain(t2, 0.3, K, margin=1e-9)
+    lo, hi = t1 * (1 + 1e-9), t2 * (1 - 1e-9)
     found = scan_brackets(lambda x: h_scalar(x, 0.3, K), lo, hi, 2000)
     assert len(found) == 1
 
@@ -269,37 +264,54 @@ def test_find_h_roots_validation():
         find_h_roots(0.1, 2)
 
 
-# ---------------------------------------------------- fixed-point iteration
+# ----------------------------------------------------- two-cycle iteration
 
 
-def test_iterate_fixed_at_symmetric_point():
-    res = fixed_point_iterate(doubled(), np.ones(4), tol=1e-12, max_iter=50)
-    assert res.converged
-    assert res.iterations == 0
-    assert np.array_equal(res.z, np.ones(4))
+def orbit(capsys, z0, *flags):
+    """Run ``orbit`` at THETA, K from z0 (read back exactly from its repr)."""
+    z = ",".join(repr(float(v)) for v in z0)
+    code = cli.main(["orbit", "--k", str(K), "--theta", repr(THETA),
+                     "--z", z, *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
-def test_iterate_near_orbit_converges_to_it():
+def limit_z(out: str) -> tuple[float, ...]:
+    """The ``limit z`` line, printed at 17 digits, so exact."""
+    match = re.search(r"^limit z = \((.*)\)$", out, re.M)
+    return tuple(float(v) for v in match.group(1).split(", "))
+
+
+def test_iterate_fixed_at_symmetric_point(capsys):
+    code, out, _ = orbit(capsys, (1, 1, 1, 1), "--tol", "1e-12",
+                         "--max-iter", "50")
+    assert code == 0
+    assert "converged after 0 double-steps\n" in out
+    assert limit_z(out) == (1.0, 1.0, 1.0, 1.0)
+
+
+def test_iterate_near_orbit_converges_to_it(capsys):
     report = find_h_roots(THETA, K)
     ((x0, x2),) = report.pairs
-    z0 = np.array([x0 * 1.01, x0 * 1.01, x2 * 0.99, x2 * 0.99])
-    res = fixed_point_iterate(doubled(), z0, tol=1e-12, max_iter=500)
-    assert res.converged
-    assert abs(res.z[0] - x0) <= 1e-8
-    assert abs(res.z[2] - x2) <= 1e-8
+    z0 = (x0 * 1.01, x0 * 1.01, x2 * 0.99, x2 * 0.99)
+    code, out, _ = orbit(capsys, z0, "--tol", "1e-12", "--max-iter", "500")
+    assert code == 0
+    z = limit_z(out)
+    assert abs(z[0] - x0) <= 1e-8
+    assert abs(z[2] - x2) <= 1e-8
     # the invariant set is preserved exactly along the trajectory
-    assert res.z[0] == res.z[1]
-    assert res.z[2] == res.z[3]
+    assert z[0] == z[1]
+    assert z[2] == z[3]
 
 
-def test_iterate_generic_start_reaches_a_two_cycle():
+def test_iterate_generic_start_reaches_a_two_cycle(capsys):
     # a generic positive start does NOT settle on the invariant set: the
     # doubled map converges to a genuine two-cycle of the single map
     rng = np.random.default_rng(0)
     z0 = np.exp(rng.uniform(-1.5, 1.5, 4))
-    res = fixed_point_iterate(doubled(), z0, tol=1e-12, max_iter=5000)
-    assert res.converged
-    limit = np.asarray(res.z)
+    code, out, _ = orbit(capsys, z0, "--tol", "1e-12", "--max-iter", "5000")
+    assert code == 0
+    limit = np.asarray(limit_z(out))
     once = np.asarray(period2_map(limit, THETA, K))
     twice = np.asarray(period2_map(once, THETA, K))
     assert np.max(np.abs(once - limit)) > 0.1        # not a fixed point
@@ -307,31 +319,29 @@ def test_iterate_generic_start_reaches_a_two_cycle():
     assert abs(limit[0] - limit[1]) > 1.0            # and far from I
 
 
-def test_iterate_non_convergence_is_reported():
+def test_iterate_non_convergence_is_reported(capsys):
     rng = np.random.default_rng(0)
     z0 = np.exp(rng.uniform(-1.5, 1.5, 4))
-    res = fixed_point_iterate(doubled(), z0, tol=1e-12, max_iter=3)
-    assert not res.converged
-    assert res.iterations == 3
-    assert np.isfinite(res.z).all()
+    code, out, _ = orbit(capsys, z0, "--tol", "1e-12", "--max-iter", "3")
+    assert code == 2
+    match = re.search(r"^no convergence within 3 double-steps; "
+                      r"last z = \((.*)\)$", out, re.M)
+    assert np.isfinite([float(v) for v in match.group(1).split(", ")]).all()
 
 
-def test_iterate_scalar_map():
-    res = fixed_point_iterate(lambda v: ((v[0] + 2.0 / v[0]) / 2.0,),
-                              (1.0,), tol=1e-14, max_iter=50)
-    assert res.converged
-    assert res.z[0] == pytest.approx(math.sqrt(2.0), rel=1e-13)
-
-
-def test_iterate_validation():
-    with pytest.raises(ValueError):
-        fixed_point_iterate(doubled(), np.array([1.0, -1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        fixed_point_iterate(doubled(), np.ones(4), tol=0.0)
-    with pytest.raises(ValueError, match="positive and finite, got inf"):
-        fixed_point_iterate(doubled(), np.ones(4), tol=math.inf)
-    with pytest.raises(ValueError):
-        fixed_point_iterate(doubled(), np.ones(4), max_iter=-1)
+def test_iterate_validation(capsys):
+    # exit 1 with a message naming the flag, before any step is printed
+    ones = (1, 1, 1, 1)
+    for z0, flags, message in [
+        ((1, -1, 1, 1), (), "--z must be four positive finite numbers"),
+        (ones, ("--tol", "0"), "--tol must be positive and finite, got 0.0"),
+        (ones, ("--tol", "inf"), "--tol must be positive and finite, got inf"),
+        (ones, ("--max-iter", "-1"),
+         "--max-iter must be an integer >= 0, got -1"),
+    ]:
+        code, out, err = orbit(capsys, z0, *flags)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 # ------------------------------------------------------------- integration
