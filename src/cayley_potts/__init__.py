@@ -21,8 +21,7 @@ _EXPORTS = {
                 "domain_bounds", "f_scalar", "g_scalar", "h_prime",
                 "h_scalar", "p_coefficients", "period2_map",
                 "sign_relation_check", "theta_cr"),
-    "solver": ("BisectionError", "ScanRow", "bisect", "find_h_roots",
-               "scan_brackets"),
+    "solver": ("ScanRow", "find_h_roots"),
     "scan": ("CSV_HEADER", "emit_csv", "emit_json", "parse_csv",
              "scan_theta"),
 }

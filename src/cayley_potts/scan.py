@@ -59,7 +59,7 @@ def _row_fields(row: ScanRow) -> list[str]:
     x0 = x1 = x2 = ""
     extras: list[float] = []
     for r in row.roots:
-        if abs(r - 1.0) <= 1e-9 and not x1:
+        if r == 1.0 and not x1:
             x1 = _fmt(r)
         elif r < 1.0 and not x0:
             x0 = _fmt(r)

@@ -4,10 +4,16 @@
 (theta_1, theta_2).  The interval spans many decades (its upper end grows
 like theta^-k), so the primary scan runs on a uniform grid in ln x;
 ``scan_brackets`` itself stays a plain uniform-grid scanner and the log
-transform is applied to its arguments.  The known root at x = 1 is injected
-analytically and deduplicated against whatever the scan found, and extra
-fine scans around x = 1 catch the two-cycle pair as it collapses into the
-fixed point near the critical activity.
+transform is applied to its arguments.  Each sign change is a bracket of
+four plain floats (lo, hi, h(lo), h(hi)) that ``bisect`` splits down to
+adjacent floats.  The known root at x = 1 is injected analytically and
+deduplicated against whatever the scan found, and extra fine scans around
+x = 1 catch the two-cycle pair as it collapses into the fixed point near
+the critical activity.
+
+``scan_brackets`` and ``bisect`` are not package exports; ``find_h_roots``
+calls them through this module's globals, where ``perfbench/layers.py``
+wraps them by name to count scans, brackets and h evaluations.
 
 Everything here is pure and deterministic: identical inputs give
 bit-identical rows.  Nothing here iterates the parity map: the ``orbit``
@@ -20,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._args import check_int
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
@@ -40,26 +45,6 @@ NOISE_FLOOR = 1e-14
 PAIR_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Sign-change interval with cached endpoint values."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < self.hi):
-            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if not (math.isfinite(self.f_lo) and math.isfinite(self.f_hi)):
-            raise ValueError("endpoint values must be finite")
-        if self.f_lo == 0.0 or self.f_hi == 0.0 or \
-                (self.f_lo > 0) == (self.f_hi > 0):
-            raise ValueError("endpoint values must have opposite signs")
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """n >= 1 evenly spaced floats from lo to hi, bit for bit what
     numpy.linspace(lo, hi, n) gives: i*step + lo, then hi exactly."""
@@ -72,18 +57,10 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-class BisectionError(ArithmeticError):
-    """Refinement failed; carries the final bracket for diagnostics."""
-
-    def __init__(self, message: str, bracket: Bracket):
-        super().__init__(f"{message} (bracket [{bracket.lo}, {bracket.hi}], "
-                         f"values [{bracket.f_lo}, {bracket.f_hi}])")
-        self.bracket = bracket
-
-
 def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
-                  grid: int) -> list[Bracket]:
-    """Brackets from sign changes of fn on a uniform grid over [lo, hi].
+                  grid: int) -> list[tuple[float, float, float, float]]:
+    """Sign changes of fn on a uniform grid of ``grid`` points over
+    [lo, hi], each as (lo, hi, fn(lo), fn(hi)).
 
     Grid points where fn raises DomainError or returns a non-finite value
     are treated as non-bracketing.  A simple root landing exactly on an
@@ -91,10 +68,6 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
     or last node (or a node-zero without a sign change around it) cannot be
     bracketed and is skipped.  Deterministic for fixed inputs.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    check_int("grid", grid, 2)
-
     xs = _linspace(lo, hi, grid)
     vals = []
     for x in xs:
@@ -111,46 +84,36 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
     found = []
     for i in range(grid - 1):
         if vals[i] == 0.0 and i > 0 and signed(vals[i - 1], vals[i + 1]):
-            found.append(Bracket(xs[i - 1], xs[i + 1],
-                                 vals[i - 1], vals[i + 1]))
+            found.append((xs[i - 1], xs[i + 1], vals[i - 1], vals[i + 1]))
         if signed(vals[i], vals[i + 1]):
-            found.append(Bracket(xs[i], xs[i + 1], vals[i], vals[i + 1]))
+            found.append((xs[i], xs[i + 1], vals[i], vals[i + 1]))
     return found
 
 
-def bisect(fn: Callable[[float], float], bracket: Bracket,
-           tol_x: float = 1e-12, tol_f: float = 0.0,
-           max_iter: int = 200) -> float:
-    """Bisection inside a bracket.
+def bisect(fn: Callable[[float], float], lo: float, hi: float,
+           f_lo: float, f_hi: float) -> float:
+    """Bisect the sign change fn(lo) = f_lo, fn(hi) = f_hi until lo and hi
+    are adjacent floats.
 
-    Stops when |fn| at the returned point is <= tol_f, or the bracket width
-    drops below tol_x * max(1, |x|), or the bracket endpoints become adjacent
-    floats, whichever comes first.  With tol_x = tol_f = 0 it runs to float
-    exhaustion.  The returned point is always an endpoint of (or the exact
-    zero inside) the final bracket.
+    Returns the exact zero if a midpoint hits one, and otherwise the end
+    with the smaller |fn| (lo on a tie).  A non-finite fn at a midpoint
+    raises ArithmeticError naming the bracket it was found in.
     """
-    lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
-    for _ in range(max_iter):
-        best, f_best = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-        if abs(f_best) <= tol_f:
-            return best
-        if hi - lo <= tol_x * max(1.0, abs(best)):
-            return best
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats, nothing left to split
-            return best
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         f_mid = float(fn(mid))
         if not math.isfinite(f_mid):
-            raise BisectionError("non-finite value inside bracket",
-                                 Bracket(lo, hi, f_lo, f_hi))
+            raise ArithmeticError(
+                f"non-finite value inside bracket (bracket [{lo}, {hi}], "
+                f"values [{f_lo}, {f_hi}])")
         if f_mid == 0.0:
             return mid
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    raise BisectionError(f"no convergence within {max_iter} iterations",
-                         Bracket(lo, hi, f_lo, f_hi))
+        mid = 0.5 * (lo + hi)
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 @dataclass(frozen=True)
@@ -221,9 +184,8 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
     # ratios coincide there); inject it and drop scanned duplicates
     kept = [(1.0, abs(fn(1.0)))]
     for a, b, n in windows:
-        for tb in scan_brackets(fn_log, a, b, n):
-            xb = Bracket(math.exp(tb.lo), math.exp(tb.hi), tb.f_lo, tb.f_hi)
-            root = bisect(fn, xb, tol_x=0.0, tol_f=0.0, max_iter=200)
+        for t_a, t_b, f_a, f_b in scan_brackets(fn_log, a, b, n):
+            root = bisect(fn, math.exp(t_a), math.exp(t_b), f_a, f_b)
             if abs(root - 1.0) > DEDUP_REL:
                 kept.append((root, abs(fn(root))))
     kept.sort(key=lambda e: e[0])

@@ -7,7 +7,6 @@ from cayley_potts.period2 import (domain_bounds, f_scalar, h_scalar,
                                   period2_map, theta_cr)
 from cayley_potts.potts import ModelParams
 from cayley_potts.scan import scan_theta
-from cayley_potts.solver import scan_brackets
 from cayley_potts.tree import build_tree
 
 # each takes one integer argument, and 3 is a valid value for all of them
@@ -22,8 +21,6 @@ ENTRY_POINTS = {
     "ModelParams-k": lambda v: ModelParams(v, 3, 0.5),
     "ModelParams-q": lambda v: ModelParams(2, v, 0.5),
     "scan_theta-steps": lambda v: scan_theta(3, 0.1, 0.2, v),
-    "scan_brackets-grid": lambda v: scan_brackets(lambda x: x - 0.5,
-                                                  0.0, 1.0, v),
 }
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through cli.main."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from cayley_potts import __version__, cli
 from cayley_potts.scan import CSV_HEADER
-from cayley_potts.solver import BisectionError, Bracket
+from cayley_potts.solver import bisect
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
 ROOT = Path(__file__).resolve().parents[1]
@@ -222,13 +223,14 @@ def test_roots_domain_overflow_is_named(capsys, k, theta):
 
 def test_bisection_failure_is_a_numerical_failure(capsys, monkeypatch):
     def failing(theta, k):
-        raise BisectionError("no convergence within 200 iterations",
-                             Bracket(0.5, 0.6, -1.0, 1.0))
+        # the bisection's non-finite guard, met at the first midpoint
+        return bisect(lambda x: math.nan, 0.5, 0.6, -1.0, 1.0)
 
     monkeypatch.setattr(cli, "find_h_roots", failing)
     code, out, err = run(capsys, "roots", "--k", "3", "--theta", "0.1")
     assert code == 2 and out == ""
-    assert err.startswith("numerical failure: no convergence")
+    assert err == ("numerical failure: non-finite value inside bracket "
+                   "(bracket [0.5, 0.6], values [-1.0, 1.0])\n")
 
 
 # ------------------------------------------------------------------- scan

@@ -15,7 +15,7 @@ SUBMODULES = (tree, potts, period2, solver, scan)
 
 
 def test_public_names_are_their_submodules_objects():
-    assert len(cayley_potts.__all__) == 39
+    assert len(cayley_potts.__all__) == 36
     assert cayley_potts.__all__[-1] == "__version__"
     for name in cayley_potts.__all__[:-1]:
         value = getattr(cayley_potts, name)
@@ -38,6 +38,9 @@ def test_unknown_attribute_raises():
     assert not hasattr(cayley_potts, "ThetaDomain")
     assert not hasattr(cayley_potts, "RootReport")
     assert not hasattr(cayley_potts, "row_from_report")
+    # the bracketing helpers stay solver module functions, not exports
+    assert not hasattr(cayley_potts, "bisect")
+    assert not hasattr(cayley_potts, "scan_brackets")
 
 
 def test_scalar_layers_load_without_numpy():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import cayley_potts.scan as scan_mod
 from cayley_potts.period2 import theta_cr
 from cayley_potts.scan import (CSV_HEADER, ScanRow, emit_csv, emit_json,
                                parse_csv, scan_theta)
-from cayley_potts.solver import BisectionError, Bracket, find_h_roots
+from cayley_potts.solver import bisect, find_h_roots
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
 
@@ -77,14 +78,15 @@ def test_scan_records_failed_rows(monkeypatch):
 
     def flaky(theta, k):
         if 0.4 < theta < 0.6:
-            raise BisectionError("stuck", Bracket(1.0, 2.0, -1.0, 1.0))
+            # the bisection's non-finite guard, met at the first midpoint
+            return bisect(lambda x: math.nan, 1.0, 2.0, -1.0, 1.0)
         return real(theta, k)
 
     monkeypatch.setattr(scan_mod, "find_h_roots", flaky)
     rows = scan_theta(3, 0.3, 0.7, 3)
     assert [r.count for r in rows] == [1, 0, 1]
     assert rows[1].roots == ()
-    assert rows[1].flags == ("error:BisectionError",)
+    assert rows[1].flags == ("error:ArithmeticError",)
 
 
 # -------------------------------------------------------------------- csv
@@ -157,11 +159,11 @@ def test_parse_csv_pairs_only_what_the_solver_paired():
 
 def test_csv_error_row_renders_empty_fields():
     row = ScanRow(k=3, theta=0.5, theta_cr=0.25, roots=(),
-                  pairs=(), flags=("error:BisectionError",))
+                  pairs=(), flags=("error:ArithmeticError",))
     buf = io.StringIO()
     emit_csv([row], buf)
     assert buf.getvalue().split("\n")[1] == (
-        "3,0.5,0.25,0,,,,error:BisectionError")
+        "3,0.5,0.25,0,,,,error:ArithmeticError")
     assert parse_csv(io.StringIO(buf.getvalue()))[0] == row
 
 

@@ -1,5 +1,5 @@
-"""Bracketed bisection, the h-root enumeration, and the two-cycle iteration
-that ``orbit`` runs."""
+"""Sign-change scanning and bisection, the h-root enumeration, and the
+two-cycle iteration that ``orbit`` runs."""
 
 import math
 import re
@@ -10,9 +10,9 @@ import pytest
 from cayley_potts import cli
 from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
                                   h_scalar, period2_map, theta_cr)
-from cayley_potts.potts import ModelParams, check_consistency, propagate_fields
-from cayley_potts.solver import (BisectionError, Bracket, _linspace, bisect,
-                                 find_h_roots, scan_brackets)
+from cayley_potts.potts import (ModelParams, check_consistency, f_map,
+                                propagate_fields)
+from cayley_potts.solver import _linspace, bisect, find_h_roots, scan_brackets
 from cayley_potts.tree import build_tree, sphere
 
 X0_GOLDEN = 0.19649931210530602  # theta=0.1, k=3, 60-digit dual-method value
@@ -22,16 +22,6 @@ THETA, K = 0.1, 3
 
 
 # ---------------------------------------------------------------- brackets
-
-
-def test_bracket_validation():
-    Bracket(1.0, 2.0, -1.0, 3.0)
-    with pytest.raises(ValueError):
-        Bracket(2.0, 1.0, -1.0, 3.0)
-    with pytest.raises(ValueError):
-        Bracket(1.0, 2.0, 1.0, 3.0)  # same sign
-    with pytest.raises(ValueError):
-        Bracket(1.0, 2.0, 0.0, 3.0)  # zero is not a sign
 
 
 def _bits(values) -> list[int]:
@@ -57,7 +47,9 @@ def test_linspace_matches_numpy_bit_for_bit(n):
 def test_scan_brackets_line():
     found = scan_brackets(lambda x: x - 1.0, 0.5, 2.0, 10)
     assert len(found) == 1
-    assert found[0].lo < 1.0 < found[0].hi
+    lo, hi, f_lo, f_hi = found[0]
+    assert lo < 1.0 < hi
+    assert (f_lo, f_hi) == (lo - 1.0, hi - 1.0)
 
 
 def test_scan_brackets_h_below_threshold():
@@ -90,7 +82,7 @@ def test_scan_brackets_treats_domain_errors_as_gaps():
 
     found = scan_brackets(partial, 0.5, 2.0, 30)
     assert len(found) == 1
-    assert found[0].lo < 1.5 < found[0].hi
+    assert found[0][0] < 1.5 < found[0][1]
 
 
 # ---------------------------------------------------------------- bisect
@@ -98,38 +90,39 @@ def test_scan_brackets_treats_domain_errors_as_gaps():
 
 def test_bisect_sqrt2():
     fn = lambda x: x * x - 2.0
-    bracket = Bracket(1.0, 2.0, fn(1.0), fn(2.0))
-    root = bisect(fn, bracket, tol_x=1e-12, tol_f=0.0, max_iter=100)
+    root = bisect(fn, 1.0, 2.0, fn(1.0), fn(2.0))
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_bisect_exact_midpoint_hit():
     fn = lambda x: x - 0.5
-    root = bisect(fn, Bracket(0.0, 1.0, -0.5, 0.5),
-                  tol_x=1e-15, tol_f=0.0, max_iter=100)
-    assert root == 0.5
+    assert bisect(fn, 0.0, 1.0, -0.5, 0.5) == 0.5
 
 
 def test_bisect_h_root_at_one():
     fn = lambda x: h_scalar(x, THETA, K)
-    bracket = Bracket(0.9, 1.1, fn(0.9), fn(1.1))
-    root = bisect(fn, bracket, tol_x=1e-12, tol_f=0.0, max_iter=200)
+    root = bisect(fn, 0.9, 1.1, fn(0.9), fn(1.1))
     assert root == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bisect_runs_to_float_exhaustion():
     fn = lambda x: x * x - 2.0
-    root = bisect(fn, Bracket(1.0, 2.0, -1.0, 2.0),
-                  tol_x=0.0, tol_f=0.0, max_iter=200)
+    root = bisect(fn, 1.0, 2.0, -1.0, 2.0)
     assert abs(root - math.sqrt(2.0)) <= 1e-15
+    # the ends are adjacent floats around sqrt(2); the smaller |fn| wins
+    ends = (math.nextafter(root, 1.0), root, math.nextafter(root, 2.0))
+    assert any(fn(a) < 0.0 < fn(b) for a, b in zip(ends, ends[1:]))
+    assert abs(fn(root)) == min(abs(fn(x)) for x in ends)
 
 
-def test_bisect_max_iter_exhaustion():
-    fn = lambda x: x * x - 2.0
-    with pytest.raises(BisectionError) as err:
-        bisect(fn, Bracket(1.0, 2.0, -1.0, 2.0),
-               tol_x=0.0, tol_f=0.0, max_iter=3)
-    assert err.value.bracket.lo < math.sqrt(2.0) < err.value.bracket.hi
+def test_bisect_non_finite_value_names_the_bracket():
+    # the first midpoint of [1, 2] is 1.5, where fn turns NaN
+    fn = lambda x: math.nan if x == 1.5 else x - 1.25
+    with pytest.raises(ArithmeticError) as err:
+        bisect(fn, 1.0, 2.0, -0.25, 0.75)
+    assert type(err.value) is ArithmeticError
+    assert str(err.value) == ("non-finite value inside bracket "
+                              "(bracket [1.0, 2.0], values [-0.25, 0.75])")
 
 
 # ------------------------------------------------------------ find_h_roots
@@ -347,23 +340,40 @@ def test_iterate_validation(capsys):
 # ------------------------------------------------------------- integration
 
 
-def test_orbit_pair_generates_parity_fields():
+# k <= 5 and 13 activities log-spaced up to 0.9 theta_cr; nearer theta_cr
+# the pair is worse conditioned (ROADMAP item 3)
+ORBIT_CASES = [(k, float(theta)) for k in (3, 4, 5)
+               for theta in np.geomspace(1e-3, 0.9 * theta_cr(k), 13)]
+
+
+@pytest.mark.parametrize("k, theta", ORBIT_CASES,
+                         ids=[f"k{k}-theta{t:.3g}" for k, t in ORBIT_CASES])
+def test_orbit_pair_generates_parity_fields(k, theta):
     # boundary fields built from the two-cycle alternate by generation under
     # the recursion: gen 3 -> x0, gen 2 -> x2, gen 1 -> x0
-    report = find_h_roots(THETA, K)
+    report = find_h_roots(theta, k)
     ((x0, x2),) = report.pairs
-    tree = build_tree(3, 3)
-    params = ModelParams.from_theta(3, 3, THETA)
+    params = ModelParams.from_theta(k, 3, theta)
+    ln_x0, ln_x2 = math.log(x0), math.log(x2)
+
+    # the two steps of f_map alone: k children carrying ln x2 give ln x0,
+    # and back again
+    step = k * f_map([ln_x2, ln_x2], params)
+    assert np.max(np.abs(step / ln_x0 - 1.0)) <= 1e-14
+    step = k * f_map([ln_x0, ln_x0], params)
+    assert np.max(np.abs(step / ln_x2 - 1.0)) <= 1e-14
+
+    tree = build_tree(k, 3)
     leaves = sphere(tree, 3)
-    leaf_fields = np.tile(np.log(x0), (len(leaves), 2))
+    leaf_fields = np.tile(ln_x0, (len(leaves), 2))
     fields = propagate_fields(tree, leaf_fields, params)
 
     for v in sphere(tree, 2):
-        assert np.max(np.abs(fields[v] - math.log(x2))) <= 1e-12
+        assert np.max(np.abs(fields[v] - ln_x2)) <= 1e-12
     for v in sphere(tree, 1):
-        assert np.max(np.abs(fields[v] - math.log(x0))) <= 1e-11
+        assert np.max(np.abs(fields[v] - ln_x0)) <= 1e-11
     # the root has k+1 children, so it carries (k+1)/k times the even field
-    assert np.max(np.abs(fields[0] - (4 / 3) * math.log(x2))) <= 1e-11
+    assert np.max(np.abs(fields[0] - (k + 1) / k * ln_x2)) <= 1e-11
 
 
 def test_orbit_pair_fields_pass_consistency():
