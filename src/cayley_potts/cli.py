@@ -91,7 +91,8 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     import numpy as np
 
-    from .potts import ModelParams, check_consistency, propagate_fields
+    from .potts import (ModelParams, check_consistency, check_enumeration,
+                        propagate_fields)
     from .tree import build_tree, sphere
 
     theta = _resolve_theta(args)
@@ -102,6 +103,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--perturb must be finite, got {args.perturb}")
     params = ModelParams.from_theta(args.k, args.q, theta)
     tree = build_tree(args.k, args.n)
+    check_enumeration(tree, args.q)
 
     leaves = sphere(tree, args.n)
     rng = np.random.default_rng(args.seed)

@@ -13,12 +13,12 @@ in log space once per distinct (monochromatic edge count, boundary digits)
 cell, and the partition sum still adds every configuration's weight in
 ascending order.
 
-The field recursion runs one generation at a time.  f_map works on the q-1
-field columns of a whole generation, so each numpy call spans every vertex,
-and it adds its exponentials in numpy's pairwise order for one row of q
-terms.  Its output is therefore bit-identical to a row-by-row log-sum-exp.
-The bits matter: the ``verify`` violations printed in the README are
-rounding differences near 1e-17, which another summation order can change.
+The field recursion runs one generation at a time.  f_map takes all q sums
+of a generation of N vertices as one log-sum-exp over a (q, q, N) block
+((q+1)*q*N doubles of scratch, against 2*q*N for q separate passes), adding
+each sum in numpy's pairwise order, so its output is bit-identical to a
+row-by-row log-sum-exp.  The bits matter: the ``verify`` violations in the
+README are rounding differences near 1e-17, which another order can change.
 
 Conventions
 -----------
@@ -107,40 +107,34 @@ def config_at(index: int, n_vertices: int, q: int) -> tuple[int, ...]:
     return tuple(spins)
 
 
-def _pairwise_sum(terms: np.ndarray):
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     """Sum of the rows of ``terms``, added in the order numpy's pairwise
     summation adds one contiguous row of len(terms) numbers: in turn below
     8 terms; up to 128, in eight interleaved partial sums combined as a
     balanced tree, then the tail in turn; above 128, the two halves split
-    at a multiple of 8."""
+    at a multiple of 8.  Adds in place: returns the view ``terms[0]``."""
     n = len(terms)
     if n < 8:
-        total = terms[0] + terms[1]
-        for t in terms[2:]:
+        total = terms[0]
+        for t in terms[1:]:
             total += t
         return total
     if n <= 128:
         stop = n - n % 8
-        acc = terms[:8].copy()
+        acc = terms[:8]
         for i in range(8, stop, 8):
             acc += terms[i:i + 8]
-        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        acc[::2] += acc[1::2]  # ((a0 + a1) + (a2 + a3))
+        acc[::4] += acc[2::4]  # + ((a4 + a5) + (a6 + a7))
+        acc[0] += acc[4]
         for t in terms[stop:]:
-            total += t
-        return total
+            acc[0] += t
+        return acc[0]
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
-def _logsumexp_rows(terms: np.ndarray, work: np.ndarray):
-    """log(sum_j exp(terms[j])) down the rows; ``work`` is scratch of
-    the same shape."""
-    m = terms.max(axis=0)
-    np.subtract(terms, m, out=work)
-    np.exp(work, out=work)
-    return m + np.log(_pairwise_sum(work))
+    total = _pairwise_sum(terms[:half])
+    total += _pairwise_sum(terms[half:])
+    return total
 
 
 def f_map(h, params: ModelParams) -> np.ndarray:
@@ -151,22 +145,20 @@ def f_map(h, params: ModelParams) -> np.ndarray:
         ln( (theta e^{h_i} + sum_{j != i} e^{h_j} + 1) /
             (theta + sum_j e^{h_j}) )
 
-    with the sums over j = 1..q-1.  Both numerator and denominator are sums
-    of positive exponentials, so they are evaluated in log space; this keeps
-    the numerator structurally positive and can never emit a silent NaN.
-    Non-finite inputs or outputs raise instead.
+    with the sums over j = 1..q-1.  ``h`` is one field vector of shape
+    (q-1,) or a stack of N of them of shape (N, q-1); the map acts on the
+    last axis, row by row, into a new C-contiguous array of that shape.
+    Both sums are of positive exponentials and are taken in log space, so
+    no NaN can appear silently; non-finite inputs or outputs raise.
 
-    ``h`` is one field vector of shape (q-1,) or a stack of N of them of
-    shape (N, q-1); the map acts on the last axis, row by row.
-
-    The map is evaluated column by column: each of the q terms of a sum is
-    one contiguous row of a (q, N) array, so every numpy call runs over all
-    N vectors at once instead of reducing N rows only q long.  The max is
-    exact in any order, and the exponentials are added in numpy's pairwise
-    order for a row of q numbers, so each output is bit for bit what a
-    row-wise max/exp/sum/log gives.  A plain left-to-right sum would differ
-    in the last bits from q = 8 on, and those bits reach the printed
-    ``verify`` violations.
+    All q sums form one batched log-sum-exp over a (q, q, N) block whose
+    row ``block[j, s]`` is term j of sum s.  Sum i < q-1 is numerator i
+    (h_j for every j, ln theta + h_i in slot i, the gauge term 0); sum q-1
+    is the denominator (h_1..h_{q-1}, ln theta), so ln theta lies on the
+    diagonal j = s.  The max is exact, and each sum's q terms are added in
+    numpy's pairwise order for one row, so each output is bit for bit a
+    row-wise max/exp/sum/log.  Scratch: (q+1)*q*N doubles with the maxima,
+    against 2*q*N for q separate passes.
     """
     q = params.q
     h = np.asarray(h, dtype=float)
@@ -177,21 +169,24 @@ def f_map(h, params: ModelParams) -> np.ndarray:
         raise ValueError("field components must be finite")
 
     log_theta = math.log(params.theta)
-    # row j < q-1 holds component j of every vector, row q-1 the gauge term
-    terms = np.empty((q,) + h.shape[:-1])
-    work = np.empty_like(terms)
-    terms[:-1] = h.T
-    terms[-1] = log_theta
+    # one allocation for the block and its maxima: fewer fresh pages
+    buf = np.empty((q + 1, q) + h.shape[:-1])
+    block, m = buf[:-1], buf[-1]
+    block[:-1] = h.T[:, None]
+    block[-1] = 0.0
+    # ln theta sits on the diagonal (j, j): one strided basic slice
+    block.reshape((q * q,) + h.shape[:-1])[::q + 1] += log_theta
     out = np.empty_like(h)
-    # a term more than DBL_MAX below its row max overflows to -inf, whose
+    # a term more than DBL_MAX below its sum's max overflows to -inf, whose
     # exp, 0, is its exact share; a real overflow fails the check below
     with np.errstate(over="ignore"):
-        den = _logsumexp_rows(terms, work)
-        terms[-1] = 0.0
-        for i in range(q - 1):
-            terms[i] = log_theta + h[..., i]
-            out[..., i] = _logsumexp_rows(terms, work) - den
-            terms[i] = h[..., i]
+        block.max(axis=0, out=m)
+        block -= m
+        np.exp(block, out=block)
+        lse = _pairwise_sum(block)
+        np.log(lse, out=lse)
+        lse += m
+        np.subtract(lse[:-1], lse[-1], out=out.T)
     if not np.isfinite(out).all():
         raise ValueError("field map produced a non-finite component")
     return out
@@ -231,6 +226,15 @@ def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.n
     return fields
 
 
+def check_enumeration(tree: FiniteTree, q: int) -> None:
+    """Refuse a tree whose q**|V| configurations exceed ENUMERATION_GUARD,
+    forming q**|V| only for |V| < 25 (2**25 is already above it)."""
+    n = tree.n_vertices
+    if n >= ENUMERATION_GUARD.bit_length() or q**n > ENUMERATION_GUARD:
+        raise EnumerationLimitError(f"enumeration guard exceeded: "
+                                    f"q^|V_n| = {q}^{n} > {ENUMERATION_GUARD}")
+
+
 @lru_cache(maxsize=8)
 def _enum_tables(k: int, depth: int, q: int):
     """Per-(tree, q) enumeration tables, cached because the consistency
@@ -245,12 +249,8 @@ def _enum_tables(k: int, depth: int, q: int):
     are built from broadcast digit patterns, one vertex at a time, with no
     integer division over the q**N indices."""
     tree = build_tree(k, depth)
+    check_enumeration(tree, q)
     n = tree.n_vertices
-    total = q**n
-    if total > ENUMERATION_GUARD:
-        raise EnumerationLimitError(
-            f"enumeration guard exceeded: q^|V_n| = {q}^{n} "
-            f"= {total} > {ENUMERATION_GUARD}")
     # vertex v is digit v, so appending it multiplies the table by q; its
     # parent's digit is the middle axis of the table so far (int8 holds
     # every count: the guard keeps n at most 24)

@@ -316,11 +316,18 @@ def test_verify_refuses_non_finite_perturb(capsys, monkeypatch, perturb):
     assert err == f"error: --perturb must be finite, got {float(perturb)}\n"
 
 
-def test_verify_enumeration_guard(capsys):
-    code, _, err = run(capsys, "verify", "--k", "3", "--n", "3",
-                       "--theta", "0.5")
-    assert code == 1
-    assert "guard" in err
+def test_verify_enumeration_guard(capsys, monkeypatch):
+    def no_recursion(*args):
+        raise AssertionError("fields were propagated before the guard")
+
+    monkeypatch.setattr("cayley_potts.potts.propagate_fields", no_recursion)
+    # 3^118097 has more digits than int-to-str conversion allows
+    for n, n_vertices in [(3, 53), (10, 118097)]:
+        code, out, err = run(capsys, "verify", "--k", "3", "--n", str(n),
+                             "--theta", "0.5")
+        assert code == 1 and out == ""
+        assert err == (f"error: enumeration guard exceeded: "
+                       f"q^|V_n| = 3^{n_vertices} > 20000000\n")
 
 
 @pytest.mark.parametrize("flag, value, minimum", [

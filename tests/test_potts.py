@@ -218,6 +218,15 @@ def test_f_map_stack_matches_rows(q):
             f_map(np.zeros(shape), params)
 
 
+@pytest.mark.parametrize("shape", [(7, 2), (1, 2), (0, 2), (2,)])
+def test_f_map_returns_a_new_c_contiguous_array(shape):
+    h = np.arange(np.prod(shape), dtype=float).reshape(shape) / 7
+    out = f_map(h, ModelParams.from_theta(2, 3, 0.3))
+    assert out.shape == h.shape and out.dtype == np.float64
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, h)
+
+
 THETAS = (1e-300, 1e-5, 0.3, 1.0, 3.7, 1e5, 1e300)
 
 
@@ -395,8 +404,10 @@ def test_propagate_equal_leaves_root_triple():
     assert np.array_equal(fields[1], h0)
 
 
+# k >= 8 gives every parent 8 or more children to add
 @pytest.mark.parametrize("k,q,n", [(2, 3, 2), (1, 3, 5), (3, 3, 4),
-                                   (2, 5, 3), (3, 2, 3)])
+                                   (2, 5, 3), (3, 2, 3), (9, 3, 2),
+                                   (9, 10, 2), (16, 4, 2)])
 def test_propagate_matches_handrolled_recursion(k, q, n):
     tree = build_tree(k, n)
     params = ModelParams.from_theta(k, q, 0.8)
@@ -412,7 +423,7 @@ def test_propagate_matches_handrolled_recursion(k, q, n):
         if kids:
             expected[v] = sum(f_map(expected[u], params) for u in kids)
     for v in range(tree.n_vertices):
-        assert np.allclose(fields[v], expected[v], rtol=0, atol=1e-14)
+        assert np.array_equal(fields[v], expected[v])
 
 
 def test_propagate_validation():
