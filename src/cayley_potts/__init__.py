@@ -17,13 +17,10 @@ _EXPORTS = {
     "potts": ("ENUMERATION_GUARD", "EnumerationLimitError", "ModelParams",
               "check_consistency", "f_map", "finite_volume_measure",
               "propagate_fields"),
-    "period2": ("DomainError", "descartes_positive_root_bound",
-                "domain_bounds", "f_scalar", "g_scalar", "h_prime",
-                "h_scalar", "p_coefficients", "period2_map",
-                "sign_relation_check", "theta_cr"),
+    "period2": ("DomainError", "domain_bounds", "f_scalar", "h_scalar",
+                "period2_map", "sign_relation_check", "theta_cr"),
     "solver": ("ScanRow", "find_h_roots"),
-    "scan": ("CSV_HEADER", "emit_csv", "emit_json", "parse_csv",
-             "scan_theta"),
+    "scan": ("CSV_HEADER", "emit_csv", "parse_csv", "scan_theta"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

@@ -11,12 +11,15 @@ The set I = {z1 = z2, z3 = z4} is invariant under the map, and on it the
 dynamics collapse to the scalar map ``f_scalar``.  Writing x for the even
 value and y for the odd value, a consistent parity assignment needs
 x = f(y) and y = f(x), so two-cycles of f are the non-trivial solutions.
-They are found as roots of h(x) = ln f(x) - ln g(x), where ``g_scalar`` is
-the closed-form inverse of f on (theta_1, theta_2).  Below the critical
-activity ``theta_cr`` the slope of h at the fixed point x = 1 turns
-negative, which is what creates the extra pair of roots; the polynomial
-``p_coefficients`` controls the sign of h' and has at most two positive
-roots by Descartes' rule.
+They are found as roots of ``h_scalar``, h(x) = ln f(x) - ln g(x), where
+g(x) = (1 - theta u)/(2u - theta - 1) with u = x^(1/k) is the closed-form
+inverse of f on (theta_1, theta_2).  Below the critical activity
+``theta_cr`` h has exactly three roots: x = 1 and one two-cycle pair.
+
+The paper's lemmas behind that count (g itself, the slope h', the
+polynomial that controls its sign and its Descartes bound) live with the
+tests, which check them against this module's f and h; the solver needs
+none of them.
 """
 
 from __future__ import annotations
@@ -151,16 +154,6 @@ def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:
     return u, num, den
 
 
-def g_scalar(x: float, theta: float, k: int) -> float:
-    """Inverse of f on (theta_1, theta_2):
-    g(x) = (1 - theta u)/(2u - theta - 1) with u = x^(1/k).
-
-    Both factors are positive exactly on the open interval; g decreases
-    from +infinity at theta_1 to 0 at theta_2."""
-    _, num, den = _g_factors(x, theta, k)
-    return num / den
-
-
 def h_scalar(x: float, theta: float, k: int) -> float:
     """h(x) = ln f(x) - ln g(x) on (theta_1, theta_2).
 
@@ -170,50 +163,3 @@ def h_scalar(x: float, theta: float, k: int) -> float:
     _, num_g, den_g = _g_factors(x, theta, k)
     ratio_f = ((theta + 1.0) * x + 1.0) / (2.0 * x + theta)
     return k * math.log(ratio_f) - (math.log(num_g) - math.log(den_g))
-
-
-def h_prime(x: float, theta: float, k: int) -> float:
-    """Analytic derivative of h:
-
-        h'(x) = ((theta-1)(theta+2)/k) * (
-                  k^2 / (((theta+1)x + 1)(2x + theta))
-                  - 1 / (x^((k-1)/k) (2u - theta - 1)(1 - theta u)) )
-
-    with u = x^(1/k) and x^((k-1)/k) computed as x/u.  Shares g's domain.
-    Negative at x = 1 exactly when theta < theta_cr(k)."""
-    u, num_g, den_g = _g_factors(x, theta, k)
-    term_f = k * k / (((theta + 1.0) * x + 1.0) * (2.0 * x + theta))
-    term_g = 1.0 / ((x / u) * den_g * num_g)
-    return (theta - 1.0) * (theta + 2.0) / k * (term_f - term_g)
-
-
-def p_coefficients(theta: float, k: int) -> dict[int, float]:
-    """Sparse coefficients (degree -> value) of the polynomial in y = x^(1/k)
-    whose sign controls the sign of h':
-
-        p(y) = 2(theta+1) y^(2k) + 2 theta k^2 y^(k+1)
-               - (k^2-1)(theta^2+theta+2) y^k
-               + k^2 (theta+1) y^(k-1) + theta
-
-    Exactly five terms; for k >= 3 the five degrees are distinct."""
-    theta_cr(k)  # validates k >= 3
-    check_theta_k(theta, k)
-    return {
-        2 * k: 2.0 * (theta + 1.0),
-        k + 1: 2.0 * theta * k * k,
-        k: -(k * k - 1.0) * (theta * theta + theta + 2.0),
-        k - 1: k * k * (theta + 1.0),
-        0: theta,
-    }
-
-
-def descartes_positive_root_bound(coeffs: dict[int, float]) -> int:
-    """Number of sign changes in the coefficients by descending degree,
-    zeros skipped: an upper bound on the number of positive roots."""
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    signs = [1 if c > 0 else -1
-             for _, c in sorted(coeffs.items(), reverse=True) if c != 0]
-    if not signs:
-        raise ValueError("all coefficients are zero")
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

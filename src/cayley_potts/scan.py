@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._args import check_int
 from .period2 import domain_bounds, h_scalar, theta_cr
-from .solver import ScanRow, _linspace, find_h_roots
+from .solver import ScanRow, _linspace, _pair_roots, find_h_roots
 
 CSV_HEADER = "k,theta,theta_cr,count,x0,x1,x2,flags"
 FORMATS = ("text", "csv", "json")
@@ -173,17 +173,12 @@ def emit_csv(rows, destination) -> None:
     write_text(destination, render_rows(rows, "csv"))
 
 
-def emit_json(rows, destination) -> None:
-    """Same schema as the CSV, as a JSON array of row objects."""
-    write_text(destination, render_rows(rows, "json"))
-
-
 def parse_csv(source) -> list[ScanRow]:
     """Rebuild rows from emit_csv output.
 
-    The 17-digit decimals parse back to the exact original floats.  The
-    orbit pair is rebuilt from the (x0, x2) columns only for a row with no
-    extra roots in the flags: the only pair the solver could have reported.
+    The 17-digit decimals parse back to the exact original floats.  The CSV
+    has no pair column, so the orbit pairs are rebuilt from the roots by
+    the solver's own pairing rule, and a solver row round-trips exactly.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="ascii")
@@ -212,10 +207,8 @@ def parse_csv(source) -> list[ScanRow]:
         roots = sorted([float(p) for p in parts[4:7] if p] + extras)
         if int(parts[3]) != len(roots):
             raise ValueError(f"count column disagrees with roots: {ln!r}")
-        pairs = (((float(parts[4]), float(parts[6])),)
-                 if parts[4] and parts[6] and not extras else ())
-        rows.append(ScanRow(k=int(parts[0]), theta=float(parts[1]),
-                            theta_cr=float(parts[2]),
-                            roots=tuple(roots), pairs=pairs,
+        k, theta, roots = int(parts[0]), float(parts[1]), tuple(roots)
+        rows.append(ScanRow(k=k, theta=theta, theta_cr=float(parts[2]),
+                            roots=roots, pairs=_pair_roots(roots, theta, k),
                             flags=tuple(flags)))
     return rows

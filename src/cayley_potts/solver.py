@@ -13,7 +13,9 @@ the critical activity.
 
 ``scan_brackets`` and ``bisect`` are not package exports; ``find_h_roots``
 calls them through this module's globals, where ``perfbench/layers.py``
-wraps them by name to count scans, brackets and h evaluations.
+wraps them by name to count scans, brackets and h evaluations.  The orbit
+pairs come from one rule, ``_pair_roots``, which ``scan.parse_csv`` also
+calls to rebuild the pairs a CSV has no column for.
 
 Everything here is pure and deterministic: identical inputs give
 bit-identical rows.  Nothing here iterates the parity map: the ``orbit``
@@ -234,7 +236,16 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
         flags.append("near-degenerate")
 
     roots = tuple(root for root, _ in merged)
+    return ScanRow(k=k, theta=theta, theta_cr=t_cr, roots=roots,
+                   pairs=_pair_roots(roots, theta, k), flags=tuple(flags))
 
+
+def _pair_roots(roots: tuple[float, ...], theta: float,
+                k: int) -> tuple[tuple[float, float], ...]:
+    """Orbit pairs (x0, x2) among ascending roots: each root below 1 takes
+    the unused root above 1 nearest to its image f(x0), if that lies within
+    PAIR_TOL.  ``find_h_roots`` pairs by this rule and ``scan.parse_csv``
+    rebuilds pairs by it, so a CSV round trip keeps them."""
     below = [x for x in roots if x < 1.0]
     unused = [x for x in roots if x > 1.0]
     pairs: list[tuple[float, float]] = []
@@ -246,7 +257,5 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
         if abs(fx - partner) <= PAIR_TOL * partner:
             pairs.append((x0, partner))
             unused.remove(partner)
-
-    return ScanRow(k=k, theta=theta, theta_cr=t_cr, roots=roots,
-                   pairs=tuple(pairs), flags=tuple(flags))
+    return tuple(pairs)
 

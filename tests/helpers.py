@@ -1,10 +1,111 @@
-"""Reference functions that only the tests call."""
+"""Reference functions that only the tests call.
+
+Besides the oracles for the tree and the field map, this holds the
+paper's lemmas behind the three-root count, which the package itself never
+needs: the inverse g, the slope h', the polynomial p that controls the sign
+of h' and p's Descartes bound.  They share ``period2``'s domain check.  It
+also holds an exact certificate for a reported two-cycle root.
+"""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from cayley_potts._args import check_theta_k
+from cayley_potts.period2 import _g_factors, theta_cr
 from cayley_potts.tree import FiniteTree
+
+
+def g_scalar(x: float, theta: float, k: int) -> float:
+    """Inverse of f on (theta_1, theta_2):
+    g(x) = (1 - theta u)/(2u - theta - 1) with u = x^(1/k).
+
+    Both factors are positive exactly on the open interval; g decreases
+    from +infinity at theta_1 to 0 at theta_2."""
+    _, num, den = _g_factors(x, theta, k)
+    return num / den
+
+
+def h_prime(x: float, theta: float, k: int) -> float:
+    """Analytic derivative of h:
+
+        h'(x) = ((theta-1)(theta+2)/k) * (
+                  k^2 / (((theta+1)x + 1)(2x + theta))
+                  - 1 / (x^((k-1)/k) (2u - theta - 1)(1 - theta u)) )
+
+    with u = x^(1/k) and x^((k-1)/k) computed as x/u.  Shares g's domain.
+    Negative at x = 1 exactly when theta < theta_cr(k)."""
+    u, num_g, den_g = _g_factors(x, theta, k)
+    term_f = k * k / (((theta + 1.0) * x + 1.0) * (2.0 * x + theta))
+    term_g = 1.0 / ((x / u) * den_g * num_g)
+    return (theta - 1.0) * (theta + 2.0) / k * (term_f - term_g)
+
+
+def p_coefficients(theta: float, k: int) -> dict[int, float]:
+    """Sparse coefficients (degree -> value) of the polynomial in y = x^(1/k)
+    whose sign controls the sign of h':
+
+        p(y) = 2(theta+1) y^(2k) + 2 theta k^2 y^(k+1)
+               - (k^2-1)(theta^2+theta+2) y^k
+               + k^2 (theta+1) y^(k-1) + theta
+
+    Exactly five terms; for k >= 3 the five degrees are distinct."""
+    theta_cr(k)  # validates k >= 3
+    check_theta_k(theta, k)
+    return {
+        2 * k: 2.0 * (theta + 1.0),
+        k + 1: 2.0 * theta * k * k,
+        k: -(k * k - 1.0) * (theta * theta + theta + 2.0),
+        k - 1: k * k * (theta + 1.0),
+        0: theta,
+    }
+
+
+def descartes_positive_root_bound(coeffs: dict[int, float]) -> int:
+    """Number of sign changes in the coefficients by descending degree,
+    zeros skipped: an upper bound on the number of positive roots."""
+    if not coeffs:
+        raise ValueError("empty coefficient list")
+    signs = [1 if c > 0 else -1
+             for _, c in sorted(coeffs.items(), reverse=True) if c != 0]
+    if not signs:
+        raise ValueError("all coefficients are zero")
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _two_cycle_sign(x: float, theta: float, k: int) -> int:
+    """Exact sign of r(x) = f(f(x)) - x at the float x, in rationals:
+    no rounding anywhere, so no working precision to choose."""
+    t = Fraction(theta)
+
+    def f(v: Fraction) -> Fraction:
+        return (((t + 1) * v + 1) / (2 * v + t)) ** k
+
+    r = f(f(Fraction(x))) - Fraction(x)
+    return (r > 0) - (r < 0)
+
+
+def ulps_to_sign_change(x: float, theta: float, k: int,
+                        limit: int = 16) -> int | None:
+    """Certify a reported two-cycle root x to within ``limit`` ulp.
+
+    Steps through the float neighbours of x on both sides until the exact
+    sign of r = f o f - id differs from its sign at x (or is 0).  Returns
+    the number of steps n, so a true root of r lies within n floats of x
+    (0 if r(x) is exactly 0), or None if r keeps its sign for ``limit``
+    steps each way."""
+    sign = _two_cycle_sign(x, theta, k)
+    if sign == 0:
+        return 0
+    down = up = x
+    for n in range(1, limit + 1):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        if (_two_cycle_sign(down, theta, k) != sign
+                or _two_cycle_sign(up, theta, k) != sign):
+            return n
+    return None
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from cayley_potts import cli
-from cayley_potts.period2 import (descartes_positive_root_bound,
-                                  domain_bounds, f_scalar, g_scalar, h_prime,
-                                  h_scalar, p_coefficients, period2_map,
-                                  sign_relation_check, theta_cr)
+from cayley_potts.period2 import (domain_bounds, f_scalar, h_scalar,
+                                  period2_map, sign_relation_check, theta_cr)
 from cayley_potts.potts import (ModelParams, check_consistency,
                                 propagate_fields)
 from cayley_potts.solver import find_h_roots
 from cayley_potts.tree import build_tree, sphere
+from helpers import (descartes_positive_root_bound, g_scalar, h_prime,
+                     p_coefficients)
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
 

@@ -1,5 +1,6 @@
 """The package namespace: every public name loads on first use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ SUBMODULES = (tree, potts, period2, solver, scan)
 
 
 def test_public_names_are_their_submodules_objects():
-    assert len(cayley_potts.__all__) == 36
+    assert len(cayley_potts.__all__) == 31
     assert cayley_potts.__all__[-1] == "__version__"
     for name in cayley_potts.__all__[:-1]:
         value = getattr(cayley_potts, name)
@@ -41,6 +42,11 @@ def test_unknown_attribute_raises():
     # the bracketing helpers stay solver module functions, not exports
     assert not hasattr(cayley_potts, "bisect")
     assert not hasattr(cayley_potts, "scan_brackets")
+    # the paper's lemmas live with the tests, and emit_json is render_rows
+    for name in ("g_scalar", "h_prime", "p_coefficients",
+                 "descartes_positive_root_bound", "emit_json"):
+        assert not hasattr(cayley_potts, name), name
+        assert not any(hasattr(m, name) for m in SUBMODULES), name
 
 
 def test_scalar_layers_load_without_numpy():
@@ -52,7 +58,7 @@ def test_scalar_layers_load_without_numpy():
         "cp.edges(cp.build_tree(3, 2))",
         "cp.find_h_roots(0.1, 3)",
         "cp.scan_theta(3, 0.1, 0.2, 2)",
-        "cp.h_prime(1.0, 0.1, 3)",
+        "cp.h_scalar(1.0, 0.1, 3)",
         "z0 = (1.2, 1.2, 0.8, 0.8)",
         "z1 = cp.period2_map(z0, 0.1, 3)",
         "cp.sign_relation_check(z0, z1, 0.1)",
@@ -69,3 +75,22 @@ def test_scalar_layers_load_without_numpy():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=env, timeout=120, check=False)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # the runtime dependency is numpy alone: every import in the package is
+    # relative, from the standard library, or numpy, so nothing reaches
+    # into tests, helpers, perfbench or mpmath
+    sources = sorted((ROOT / "src" / "cayley_potts").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names or top == "numpy", \
+                    f"{path.name}:{node.lineno} imports {top}"

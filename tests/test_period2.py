@@ -7,12 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cayley_potts.period2 import (DomainError,
-                                  descartes_positive_root_bound,
-                                  domain_bounds, f_scalar, g_scalar,
-                                  h_prime, h_scalar, p_coefficients,
-                                  period2_map, sign_relation_check,
+from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
+                                  h_scalar, period2_map, sign_relation_check,
                                   theta_cr)
+from helpers import (descartes_positive_root_bound, g_scalar, h_prime,
+                     p_coefficients)
 
 # frozen extended-precision values (60 decimal digits, two methods agreeing)
 F_AT_2 = 0.4754428983909113        # f(2), theta=0.1, k=3

@@ -10,8 +10,8 @@ import pytest
 
 import cayley_potts.scan as scan_mod
 from cayley_potts.period2 import theta_cr
-from cayley_potts.scan import (CSV_HEADER, ScanRow, emit_csv, emit_json,
-                               parse_csv, scan_theta)
+from cayley_potts.scan import (CSV_HEADER, ScanRow, emit_csv, parse_csv,
+                               render_rows, scan_theta, write_text)
 from cayley_potts.solver import bisect, find_h_roots
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
@@ -157,6 +157,18 @@ def test_parse_csv_pairs_only_what_the_solver_paired():
         assert set(parsed.pairs) <= set(row.pairs)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 10, 20, 50, 100])
+def test_csv_roundtrip_keeps_the_solver_pairs(k):
+    # just below theta_cr the solver may report the pair, drop it, or pile
+    # up noise roots (ROADMAP items 2 and 3); whatever it reports, the CSV
+    # must give back the same rows, pairs included
+    rows = [find_h_roots(theta_cr(k) * (1 - gap), k)
+            for gap in (1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)]
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    assert parse_csv(io.StringIO(buf.getvalue())) == rows
+
+
 def test_csv_error_row_renders_empty_fields():
     row = ScanRow(k=3, theta=0.5, theta_cr=0.25, roots=(),
                   pairs=(), flags=("error:ArithmeticError",))
@@ -171,7 +183,7 @@ def test_emit_rejects_empty():
     with pytest.raises(ValueError):
         emit_csv([], io.StringIO())
     with pytest.raises(ValueError):
-        emit_json([], io.StringIO())
+        write_text(io.StringIO(), render_rows([], "json"))
 
 
 def test_parse_rejects_malformed_input():
@@ -195,7 +207,7 @@ def test_17g_is_lossless():
 def test_json_schema_and_values():
     rows = scan_theta(3, 0.1, 0.2, 2)
     buf = io.StringIO()
-    emit_json(rows, buf)
+    write_text(buf, render_rows(rows, "json"))
     payload = json.loads(buf.getvalue())
     assert len(payload) == 2
     first = payload[0]

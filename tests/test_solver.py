@@ -3,6 +3,7 @@ two-cycle iteration that ``orbit`` runs."""
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
                                   h_scalar, period2_map, theta_cr)
 from cayley_potts.potts import (ModelParams, check_consistency, f_map,
                                 propagate_fields)
+from cayley_potts.scan import parse_csv
 from cayley_potts.solver import _linspace, bisect, find_h_roots, scan_brackets
 from cayley_potts.tree import build_tree, sphere
+from helpers import ulps_to_sign_change
+
+DATA = Path(__file__).parent / "data"
 
 X0_GOLDEN = 0.19649931210530602  # theta=0.1, k=3, 60-digit dual-method value
 X2_GOLDEN = 15.011479580653047
@@ -146,6 +151,34 @@ def test_find_h_roots_reference_case():
     assert (x0, x2) == (xs[0], xs[2])
     assert abs(f_scalar(x0, THETA, K) - x2) <= 1e-8
     assert abs(f_scalar(f_scalar(x0, THETA, K), THETA, K) - x0) <= 1e-8
+
+
+def _golden_pair_roots():
+    """(theta, k, x) for every pair root of the count-3 goldens: four rows
+    of the k=3 scan, and the k=4 and k=10 roots reports."""
+    rows = [r for r in parse_csv(DATA / "scan_k3_golden.csv") if r.count == 3]
+    rows += parse_csv(DATA / "roots_k4_theta0.2.csv")
+    rows += parse_csv(DATA / "roots_k10_theta0.1.csv")
+    return [(r.theta, r.k, x) for r in rows for pair in r.pairs for x in pair]
+
+
+def test_golden_pair_roots_are_certified_within_16_ulp():
+    # exact: r = f o f - id changes sign, in rationals, within 16 floats of
+    # each golden root (measured: 1 to 9)
+    roots = _golden_pair_roots()
+    assert len(roots) == 12
+    for theta, k, x in roots:
+        steps = ulps_to_sign_change(x, theta, k)
+        assert steps is not None and steps <= 16, (k, theta, x, steps)
+
+
+def test_certificate_refuses_a_root_moved_64_ulp():
+    for theta, k, x in _golden_pair_roots():
+        for direction in (-math.inf, math.inf):
+            moved = x
+            for _ in range(64):
+                moved = math.nextafter(moved, direction)
+            assert ulps_to_sign_change(moved, theta, k) is None, (k, theta, x)
 
 
 def test_find_h_roots_other_orders():
