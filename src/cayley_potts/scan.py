@@ -208,7 +208,12 @@ def parse_csv(source) -> list[ScanRow]:
         if int(parts[3]) != len(roots):
             raise ValueError(f"count column disagrees with roots: {ln!r}")
         k, theta, roots = int(parts[0]), float(parts[1]), tuple(roots)
+        try:
+            pairs = _pair_roots(roots, theta, k)
+        except OverflowError:
+            # f(x0) = (...)^k past the float range: no solver row holds
+            # such a root, since find_h_roots paired the same floats
+            raise ValueError(f"root out of range for its k: {ln!r}") from None
         rows.append(ScanRow(k=k, theta=theta, theta_cr=float(parts[2]),
-                            roots=roots, pairs=_pair_roots(roots, theta, k),
-                            flags=tuple(flags)))
+                            roots=roots, pairs=pairs, flags=tuple(flags)))
     return rows

@@ -86,26 +86,21 @@ def _two_cycle_sign(x: float, theta: float, k: int) -> int:
     return (r > 0) - (r < 0)
 
 
-def ulps_to_sign_change(x: float, theta: float, k: int,
-                        limit: int = 16) -> int | None:
-    """Certify a reported two-cycle root x to within ``limit`` ulp.
+def floats_away(x: float, n: int) -> float:
+    """The float n steps above x (below it for n < 0)."""
+    toward = math.inf if n > 0 else -math.inf
+    for _ in range(abs(n)):
+        x = math.nextafter(x, toward)
+    return x
 
-    Steps through the float neighbours of x on both sides until the exact
-    sign of r = f o f - id differs from its sign at x (or is 0).  Returns
-    the number of steps n, so a true root of r lies within n floats of x
-    (0 if r(x) is exactly 0), or None if r keeps its sign for ``limit``
-    steps each way."""
-    sign = _two_cycle_sign(x, theta, k)
-    if sign == 0:
-        return 0
-    down = up = x
-    for n in range(1, limit + 1):
-        down = math.nextafter(down, -math.inf)
-        up = math.nextafter(up, math.inf)
-        if (_two_cycle_sign(down, theta, k) != sign
-                or _two_cycle_sign(up, theta, k) != sign):
-            return n
-    return None
+
+def certified_within_16_ulp(x: float, theta: float, k: int) -> bool:
+    """Whether a true two-cycle root lies within 16 floats of x: r = f o f
+    - id is exactly 0 at x, or its exact signs 16 floats below and above x
+    differ."""
+    below = _two_cycle_sign(floats_away(x, -16), theta, k)
+    above = _two_cycle_sign(floats_away(x, 16), theta, k)
+    return below != above or _two_cycle_sign(x, theta, k) == 0
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

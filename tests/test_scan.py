@@ -123,7 +123,13 @@ def test_csv_text_stream_and_path(tmp_path):
 
 
 def test_csv_roundtrip_exact():
-    rows = k3_rows()
+    # just below theta_cr the solver may report the pair, drop it, or pile
+    # up noise roots (ROADMAP items 2 and 3); whatever it reports, the CSV
+    # must give back the same rows, pairs included
+    rows = k3_rows() + [
+        find_h_roots(theta_cr(k) * (1 - gap), k)
+        for k in (3, 4, 5, 10, 20, 50, 100)
+        for gap in (1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)]
     buf = io.BytesIO()
     emit_csv(rows, buf)
     assert parse_csv(io.BytesIO(buf.getvalue())) == rows
@@ -157,18 +163,6 @@ def test_parse_csv_pairs_only_what_the_solver_paired():
         assert set(parsed.pairs) <= set(row.pairs)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 10, 20, 50, 100])
-def test_csv_roundtrip_keeps_the_solver_pairs(k):
-    # just below theta_cr the solver may report the pair, drop it, or pile
-    # up noise roots (ROADMAP items 2 and 3); whatever it reports, the CSV
-    # must give back the same rows, pairs included
-    rows = [find_h_roots(theta_cr(k) * (1 - gap), k)
-            for gap in (1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)]
-    buf = io.StringIO()
-    emit_csv(rows, buf)
-    assert parse_csv(io.StringIO(buf.getvalue())) == rows
-
-
 def test_csv_error_row_renders_empty_fields():
     row = ScanRow(k=3, theta=0.5, theta_cr=0.25, roots=(),
                   pairs=(), flags=("error:ArithmeticError",))
@@ -194,6 +188,9 @@ def test_parse_rejects_malformed_input():
     # count column must agree with the roots present
     with pytest.raises(ValueError):
         parse_csv(io.StringIO(CSV_HEADER + "\n3,0.5,0.25,2,,1,,\n"))
+    # a root below 1 whose image overflows at this k: no solver row
+    with pytest.raises(ValueError):
+        parse_csv(io.StringIO(CSV_HEADER + "\n1000,0.01,0.997,2,1e-05,1,,\n"))
 
 
 def test_17g_is_lossless():

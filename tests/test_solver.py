@@ -16,7 +16,7 @@ from cayley_potts.potts import (ModelParams, check_consistency, f_map,
 from cayley_potts.scan import parse_csv
 from cayley_potts.solver import _linspace, bisect, find_h_roots, scan_brackets
 from cayley_potts.tree import build_tree, sphere
-from helpers import ulps_to_sign_change
+from helpers import certified_within_16_ulp, floats_away
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,21 +164,18 @@ def _golden_pair_roots():
 
 def test_golden_pair_roots_are_certified_within_16_ulp():
     # exact: r = f o f - id changes sign, in rationals, within 16 floats of
-    # each golden root (measured: 1 to 9)
+    # each golden root
     roots = _golden_pair_roots()
     assert len(roots) == 12
     for theta, k, x in roots:
-        steps = ulps_to_sign_change(x, theta, k)
-        assert steps is not None and steps <= 16, (k, theta, x, steps)
+        assert certified_within_16_ulp(x, theta, k), (k, theta, x)
 
 
 def test_certificate_refuses_a_root_moved_64_ulp():
     for theta, k, x in _golden_pair_roots():
-        for direction in (-math.inf, math.inf):
-            moved = x
-            for _ in range(64):
-                moved = math.nextafter(moved, direction)
-            assert ulps_to_sign_change(moved, theta, k) is None, (k, theta, x)
+        for n in (-64, 64):
+            moved = floats_away(x, n)
+            assert not certified_within_16_ulp(moved, theta, k), (k, theta, x)
 
 
 def test_find_h_roots_other_orders():
