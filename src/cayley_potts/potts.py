@@ -11,7 +11,11 @@ of the package, so it favours exactness over asymptotics: measures cover
 every configuration (guarded by ENUMERATION_GUARD), weights are assembled
 in log space once per distinct (monochromatic edge count, boundary digits)
 cell, and the partition sum still adds every configuration's weight in
-ascending order.
+ascending order, in numpy's pairwise order.  check_consistency forms no
+q**|V|-long array of doubles: the partition sum walks numpy's pairwise
+tree down to slices of _SLICE weights, and the outer measure's marginal
+is summed from the per-cell probabilities slab by slab, so its bits are
+those of the whole-array sums.
 
 The field recursion runs one generation at a time.  f_map takes all q sums
 of a generation of N vertices as one log-sum-exp over a (q, q, N) block
@@ -48,6 +52,13 @@ from .tree import FiniteTree, build_tree, edges, sphere
 
 # hard ceiling on q**|V_n| for exhaustive enumeration
 ENUMERATION_GUARD = 20_000_000
+
+# configurations per slice of the oracle's q**|V_n|-long passes: 1 MB of
+# doubles, so a slice's scratch stays in cache.  Oracle benchmark, 10 s
+# runs, seeds 1-3, 2 vCPUs, numpy 2.4.6: 2**15 gave 137-162 ops/s, 2**16
+# 154-173, 2**17 163-180 and 2**18 167-176 (whole-array passes: 79-91).
+# _repeat_sum needs it above 128, where numpy's pairwise sum splits.
+_SLICE = 1 << 17
 
 
 class EnumerationLimitError(ValueError):
@@ -247,7 +258,9 @@ def _enum_tables(k: int, depth: int, q: int):
     group indices, how many configurations each cell holds, and every
     configuration's cell index (int32, in base-q index order).  The counts
     are built from broadcast digit patterns, one vertex at a time, with no
-    integer division over the q**N indices."""
+    integer division over the q**N indices.  The cell counts are summed and
+    the cell indices written over their keys _SLICE configurations at a
+    time, so no q**N array wider than int32 is formed."""
     tree = build_tree(k, depth)
     check_enumeration(tree, q)
     n = tree.n_vertices
@@ -263,11 +276,15 @@ def _enum_tables(k: int, depth: int, q: int):
     key = (mono.reshape(n_groups, -1)
            + np.arange(0, n_groups * n, n, dtype=np.int32)[:, None]).reshape(-1)
     del mono
-    counts = np.bincount(key, minlength=n_groups * n)
+    counts = np.zeros(n_groups * n, dtype=np.intp)
+    for i in range(0, len(key), _SLICE):
+        counts += np.bincount(key[i:i + _SLICE], minlength=n_groups * n)
     occupied = np.flatnonzero(counts)
     to_cell = np.zeros(n_groups * n, dtype=np.int32)
     to_cell[occupied] = np.arange(len(occupied), dtype=np.int32)
-    cell = to_cell[key]
+    cell = key  # each key is overwritten by its cell index
+    for i in range(0, len(cell), _SLICE):
+        cell[i:i + _SLICE] = to_cell[cell[i:i + _SLICE]]
     cell_group, cell_mono = np.divmod(occupied, n)
     tables = (cell_mono, cell_group, counts[occupied], cell)
     for a in tables:
@@ -275,15 +292,30 @@ def _enum_tables(k: int, depth: int, q: int):
     return tables
 
 
-def finite_volume_measure(tree: FiniteTree, boundary_fields,
-                          params: ModelParams) -> np.ndarray:
-    """Exhaustive measure with weights theta^{mono edges} * exp(boundary sum).
+def _repeat_sum(w: np.ndarray, counts: np.ndarray) -> float:
+    """float(np.repeat(w, counts).sum()) bit for bit, without forming more
+    than _SLICE of the repeated terms at once.  numpy sums one contiguous
+    row as a pairwise tree (see _pairwise_sum), and any node of that tree
+    is np.sum of its subrange, so this splits the terms where numpy splits
+    them until a part holds at most _SLICE, and sums each part so."""
+    n = int(counts.sum())
+    if n <= _SLICE:
+        return float(np.repeat(w, counts).sum())
+    half = n // 2
+    half -= half % 8
+    # term ``half`` opens the right part; entry c holds it
+    ends = np.cumsum(counts)
+    c = int(np.searchsorted(ends, half, side="right"))
+    left, right = counts[:c + 1].copy(), counts[c:].copy()
+    left[-1] -= ends[c] - half
+    right[0] = ends[c] - half
+    return _repeat_sum(w[:c + 1], left) + _repeat_sum(w[c:], right)
 
-    boundary_fields: (|W_n|, q-1) array, one row per depth-n vertex in
-    ascending index order.  Returns the read-only probabilities of all
-    q**N configurations, indexed by config_index; they are positive and
-    sum to 1.
-    """
+
+def _cell_probs(tree: FiniteTree, boundary_fields, params: ModelParams):
+    """The measure as its per-cell probabilities w / z and the cached
+    configuration-to-cell map: configuration i has probability p[cell[i]].
+    Validates as finite_volume_measure does."""
     _check_k(tree, params)
     q = params.q
     boundary = sphere(tree, tree.depth)
@@ -311,8 +343,22 @@ def finite_volume_measure(tree: FiniteTree, boundary_fields,
     # every configuration's weight in ascending order, as np.sort would
     # give them, so the sum is stable and independent of the cell layout
     order = np.argsort(w)
-    z = float(np.repeat(w[order], counts[order]).sum())
-    probs = (w / z)[cell]
+    z = _repeat_sum(w[order], counts[order])
+    return w / z, cell
+
+
+def finite_volume_measure(tree: FiniteTree, boundary_fields,
+                          params: ModelParams) -> np.ndarray:
+    """Exhaustive measure with weights theta^{mono edges} * exp(boundary sum).
+
+    boundary_fields: (|W_n|, q-1) array, one row per depth-n vertex in
+    ascending index order.  Returns the read-only probabilities of all
+    q**N configurations, indexed by config_index; they are positive and
+    sum to 1.  The partition sum z adds every configuration's weight in
+    ascending order, and each probability is its cell's w / z.
+    """
+    p, cell = _cell_probs(tree, boundary_fields, params)
+    probs = p[cell]
     probs.setflags(write=False)
     return probs
 
@@ -327,6 +373,11 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
 
     Only the W_n and W_{n-1} rows of ``fields`` enter the two measures;
     deeper interior values are irrelevant to this check.
+
+    The outer measure is never formed: its marginal is gathered from the
+    per-cell probabilities one slab of rows at a time, and the rows are
+    added in turn, the order finite_volume_measure(...).reshape(-1,
+    block).sum(axis=0) adds them, so the result has the same bits.
     """
     _check_k(tree, params)
     if tree.depth < 1:
@@ -339,11 +390,22 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
 
     outer = sphere(tree, tree.depth)
     inner = sphere(tree, tree.depth - 1)
-    mu_n = finite_volume_measure(tree, F[outer.start:outer.stop], params)
+    p, cell = _cell_probs(tree, F[outer.start:outer.stop], params)
 
     sub = build_tree(tree.k, tree.depth - 1)
     mu_prev = finite_volume_measure(sub, F[inner.start:inner.stop], params)
 
     block = q**sub.n_vertices
-    marginal = mu_n.reshape(-1, block).sum(axis=0)
+    rows = cell.reshape(-1, block)
+    slab = min(len(rows), max(1, _SLICE // block))
+    # slot 0 carries the sum of the rows before the slab into its sum
+    buf = np.empty((slab + 1, block))
+    marginal = np.zeros(block)
+    for i in range(0, len(rows), slab):
+        chunk = rows[i:i + slab]
+        part = buf[:1 + len(chunk)]
+        part[0] = marginal
+        # every index is a cell; mode "clip" skips the buffered bounds check
+        np.take(p, chunk, out=part[1:], mode="clip")
+        part.sum(axis=0, out=marginal)
     return float(np.max(np.abs(marginal - mu_prev)))

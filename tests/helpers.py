@@ -4,7 +4,9 @@ Besides the oracles for the tree and the field map, this holds the
 paper's lemmas behind the three-root count, which the package itself never
 needs: the inverse g, the slope h', the polynomial p that controls the sign
 of h' and p's Descartes bound.  They share ``period2``'s domain check.  It
-also holds an exact certificate for a reported two-cycle root.
+also holds an exact certificate for a reported two-cycle root, and the
+enumeration oracle's tables and consistency check as whole-array
+expressions, which the package computes in slices.
 """
 
 import math
@@ -14,7 +16,8 @@ import numpy as np
 
 from cayley_potts._args import check_theta_k
 from cayley_potts.period2 import _g_factors, theta_cr
-from cayley_potts.tree import FiniteTree
+from cayley_potts.potts import finite_volume_measure
+from cayley_potts.tree import FiniteTree, build_tree, edges, sphere
 
 
 def g_scalar(x: float, theta: float, k: int) -> float:
@@ -161,3 +164,37 @@ def hamiltonian(tree: FiniteTree, spins, q: int, J: float) -> float:
     parent, _ = bfs_oracle(tree.k, tree.depth)
     mono = int(np.count_nonzero(spins[parent[1:]] == spins[1:]))
     return -J * mono
+
+
+def enum_tables_whole(k: int, depth: int, q: int):
+    """potts._enum_tables with every q**N array formed at once: the same
+    digit patterns, then one np.bincount over all keys and one gather of
+    every cell index."""
+    tree = build_tree(k, depth)
+    n = tree.n_vertices
+    eye = np.eye(q, dtype=np.int8).reshape(q, 1, q, 1)
+    mono = np.zeros(q, dtype=np.int8)
+    for p, v in edges(tree):
+        mono = (mono.reshape(1, q ** (v - 1 - p), q, q**p) + eye).reshape(-1)
+    n_groups = q ** len(sphere(tree, depth))
+    key = (mono.reshape(n_groups, -1)
+           + np.arange(0, n_groups * n, n, dtype=np.int32)[:, None]).reshape(-1)
+    counts = np.bincount(key, minlength=n_groups * n)
+    occupied = np.flatnonzero(counts)
+    to_cell = np.zeros(n_groups * n, dtype=np.int32)
+    to_cell[occupied] = np.arange(len(occupied), dtype=np.int32)
+    cell_group, cell_mono = np.divmod(occupied, n)
+    return cell_mono, cell_group, counts[occupied], to_cell[key]
+
+
+def consistency_whole(tree: FiniteTree, fields, params) -> float:
+    """potts.check_consistency as one expression over the full outer
+    measure: max |sum over the boundary digits of mu_n - mu_{n-1}|."""
+    F = np.asarray(fields, dtype=float)
+    outer = sphere(tree, tree.depth)
+    inner = sphere(tree, tree.depth - 1)
+    sub = build_tree(tree.k, tree.depth - 1)
+    mu_n = finite_volume_measure(tree, F[outer.start:outer.stop], params)
+    mu_prev = finite_volume_measure(sub, F[inner.start:inner.stop], params)
+    marginal = mu_n.reshape(-1, params.q**sub.n_vertices).sum(axis=0)
+    return float(np.max(np.abs(marginal - mu_prev)))

@@ -1,19 +1,22 @@
 """Potts Hamiltonian, field recursion, and the exact measure oracle."""
 
 import dataclasses
+import gc
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from cayley_potts.potts import (ENUMERATION_GUARD, EnumerationLimitError,
-                                ModelParams, check_consistency, config_at,
-                                config_index, f_map, finite_volume_measure,
-                                propagate_fields)
+from cayley_potts.potts import (_SLICE, ENUMERATION_GUARD,
+                                EnumerationLimitError, ModelParams,
+                                _enum_tables, _repeat_sum, check_consistency,
+                                config_at, config_index, f_map,
+                                finite_volume_measure, propagate_fields)
 from cayley_potts.period2 import period2_map
 from cayley_potts.tree import build_tree, edges, sphere
-from helpers import bfs_oracle, f_map_rowwise, hamiltonian
+from helpers import (bfs_oracle, consistency_whole, enum_tables_whole,
+                     f_map_rowwise, hamiltonian)
 
 LN2 = math.log(2.0)
 
@@ -344,6 +347,35 @@ def test_measure_bit_identical_to_naive_enumeration(k, q, n, theta):
     assert not probs.flags.writeable
 
 
+@pytest.mark.parametrize("k,depth,q", [(2, 3, 2), (2, 2, 4)])
+def test_measure_tables_match_whole_array_rebuild(k, depth, q):
+    # 2^22 and 4^10 configurations: past what the naive enumeration reaches
+    sliced, whole = _enum_tables(k, depth, q), enum_tables_whole(k, depth, q)
+    assert len(sliced[3]) == q ** build_tree(k, depth).n_vertices
+    for a, b in zip(sliced, whole):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("total", [1, 7, 8, 128, 129, _SLICE - 1, _SLICE,
+                                   _SLICE + 1, 3 * _SLICE + 5, 3**10, 4**10,
+                                   2**22])
+def test_measure_partition_sum_bit_identical_to_repeat_sum(total):
+    rng = np.random.default_rng(total)
+    # one run of every term (longer than a slice once total > _SLICE),
+    # three runs and many short runs
+    longest = 0
+    for n_runs in (1, 3, 1000):
+        cuts = np.unique(rng.integers(1, total, n_runs - 1)) if total > 1 else []
+        counts = np.diff(np.concatenate([[0], cuts, [total]])).astype(np.intp)
+        w = np.sort(rng.uniform(0.0, 1.0, len(counts))
+                    * 10.0 ** rng.integers(-12, 1, len(counts)))
+        z = _repeat_sum(w, counts)
+        assert type(z) is float
+        assert z == float(np.repeat(w, counts).sum())
+        longest = max(longest, counts.max())
+    assert longest == total
+
+
 def test_measure_permutation_equivariance():
     # relabeling the spin states and the field components together leaves
     # every probability unchanged
@@ -476,6 +508,36 @@ def test_consistency_theta_one_decouples():
     fields = np.zeros((tree.n_vertices, 2))
     fields[sphere(tree, 2)] = rng.uniform(-2, 2, (6, 2))
     assert check_consistency(tree, fields, params) <= 1e-12
+
+
+@pytest.mark.parametrize("k,q,n", [(2, 3, 2), (3, 2, 2), (2, 4, 2),
+                                   (2, 2, 3), (2, 3, 1)])
+@pytest.mark.parametrize("perturb", [0.0, 0.3])
+def test_consistency_bit_identical_to_full_marginal(k, q, n, perturb):
+    tree = build_tree(k, n)
+    params = ModelParams.from_theta(k, q, 0.7)
+    rng = np.random.default_rng([k, q, n])
+    leaf = rng.uniform(-2, 2, (len(sphere(tree, n)), q - 1))
+    fields = propagate_fields(tree, leaf, params)
+    fields[sphere(tree, n - 1).start, 0] += perturb
+    violation = check_consistency(tree, fields, params)
+    assert type(violation) is float
+    assert violation == consistency_whole(tree, fields, params)
+    assert (violation > 1e-4) if perturb else (violation <= 1e-12)
+
+
+def test_consistency_and_measure_leave_no_garbage_cycle():
+    tree = build_tree(2, 3)
+    params = ModelParams.from_theta(2, 2, 0.7)
+    fields = propagate_fields(tree, np.zeros((12, 1)), params)
+    gc.collect()
+    gc.disable()
+    try:
+        check_consistency(tree, fields, params)
+        finite_volume_measure(tree, fields[sphere(tree, 3)], params)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_consistency_validation():
