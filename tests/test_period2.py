@@ -267,6 +267,64 @@ def test_h_prime_positive_near_endpoints():
             assert h_prime(t2 * (1 - 1e-4), theta, k) > 0
 
 
+
+# h_scalar's argument checks, with each message as the checks have always
+# worded it: bad k, theta or x is a ValueError, and only a valid argument
+# outside g's domain is a DomainError
+H_BAD_ARGS = [
+    ((1.0, 0.1, 0), ValueError, "k must be an integer >= 1, got 0"),
+    ((1.0, 0.1, True), ValueError, "k must be an integer >= 1, got True"),
+    ((1.0, 0.1, 2.0), ValueError, "k must be an integer >= 1, got 2.0"),
+    ((1.0, 0, 3), ValueError, "theta must be positive and finite, got 0"),
+    ((1.0, -0.1, 3), ValueError,
+     "theta must be positive and finite, got -0.1"),
+    ((1.0, math.inf, 3), ValueError,
+     "theta must be positive and finite, got inf"),
+    ((1.0, math.nan, 3), ValueError,
+     "theta must be positive and finite, got nan"),
+    ((math.nan, 0.1, 3), ValueError, "x must be finite, got nan"),
+    ((math.inf, 0.1, 3), ValueError, "x must be finite, got inf"),
+    ((-math.inf, 0.1, 3), ValueError, "x must be finite, got -inf"),
+    ((math.nan, 1.5, 3), ValueError, "x must be finite, got nan"),
+    ((1.0, 1.0, 3), DomainError, "inverse map needs theta < 1, got theta=1.0"),
+    ((1.0, 1.5, 3), DomainError, "inverse map needs theta < 1, got theta=1.5"),
+    ((0.0, 0.1, 3), DomainError, "x must be positive, got 0.0"),
+    ((-1.0, 0.1, 3), DomainError, "x must be positive, got -1.0"),
+    ((0.16471125000000006, 0.1, 3), DomainError,
+     "x=0.16471125000000006 outside the open interval "
+     "(((theta+1)/2)^k, theta^-k) at theta=0.1, k=3"),
+    ((1009.9999999999999, 0.1, 3), DomainError,
+     "x=1009.9999999999999 outside the open interval "
+     "(((theta+1)/2)^k, theta^-k) at theta=0.1, k=3"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", H_BAD_ARGS)
+def test_h_argument_errors_and_messages(args, error, message):
+    with pytest.raises(ValueError) as info:
+        h_scalar(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_h_numpy_scalars_give_the_plain_bits():
+    cases = [(0.1, 3), (0.2, 4), (0.05, 10), (0.9, 50)]
+    checked = 0
+    for theta, k in cases:
+        t1, t2 = domain_bounds(theta, k)
+        for x in np.geomspace(t1 * (1 + 1e-6), t2 * (1 - 1e-6), 12):
+            x = float(x)
+            plain = h_scalar(x, theta, k)
+            assert type(plain) is float
+            for args in [(np.float64(x), theta, k),
+                         (x, np.float64(theta), k),
+                         (x, theta, np.int64(k)),
+                         (np.float64(x), np.float64(theta), np.int64(k))]:
+                assert float(h_scalar(*args)).hex() == plain.hex(), \
+                    (theta, k, x, args)
+            checked += 1
+    assert checked == 48
+
 # ------------------------------------------------------------- polynomial
 
 

@@ -3,17 +3,18 @@ two-cycle iteration that ``orbit`` runs."""
 
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cayley_potts import cli
+from cayley_potts import cli, solver
 from cayley_potts.period2 import (DomainError, domain_bounds, f_scalar,
                                   h_scalar, period2_map, theta_cr)
 from cayley_potts.potts import (ModelParams, check_consistency, f_map,
                                 propagate_fields)
-from cayley_potts.scan import parse_csv
+from cayley_potts.scan import parse_csv, render_rows, scan_theta
 from cayley_potts.solver import _linspace, bisect, find_h_roots, scan_brackets
 from cayley_potts.tree import build_tree, sphere
 from helpers import certified_within_16_ulp, floats_away
@@ -251,6 +252,63 @@ def test_find_h_roots_numpy_scalars_give_the_plain_report():
     assert repr(find_h_roots(0.1, np.int64(3))) == repr(find_h_roots(0.1, 3))
     assert (repr(find_h_roots(np.float64(0.1), 3))
             == repr(find_h_roots(0.1, 3)))
+
+
+def scanned_row(k, theta):
+    """The row ``scan_theta`` records at one theta: a one-point sweep, so a
+    raising activity becomes an ``error:`` row as in any sweep."""
+    (row,) = scan_theta(k, theta, math.nextafter(theta, 1.0), 1)
+    return row
+
+
+def test_find_h_roots_matches_wide_golden():
+    # 91 rows, k in {3, 4, 5, 10, 20, 50, 100, 200, 400, 1000}, each at
+    # theta = 1e-3, 1e-2, theta_cr/2, theta_cr*(1 - gap) for gap in {1e-5,
+    # 1e-8, 1e-10, 1e-12}, theta_cr itself and (1 + theta_cr)/2, plus k=50
+    # at theta=0.5.  The defect rows of ROADMAP item 2 are frozen as they
+    # stand (k=200 at 0.01 is an error:OverflowError row): this golden pins
+    # the grid solver's bits, not the right answer.
+    golden = (DATA / "find_h_roots_wide_golden.csv").read_text(
+        encoding="ascii")
+    cases = [(int(line.split(",")[0]), float(line.split(",")[1]))
+             for line in golden.splitlines()[1:]]
+    assert len(cases) == 91
+    rows = [scanned_row(k, theta) for k, theta in cases]
+    assert render_rows(rows, "csv") == golden
+
+
+# the solver layers perfbench/layers.py wraps by name
+COUNTED = ("h_scalar", "f_scalar", "domain_bounds", "scan_brackets", "bisect")
+
+
+def test_find_h_roots_work_goes_through_the_counted_names(monkeypatch):
+    # A speed-up that moved work off these module names would leave a
+    # silent zero in a per-layer benchmark metric; the counts are the grid
+    # solver's own at theta=0.1, k=3.
+    calls, inside, stack = Counter(), Counter(), []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            if stack:
+                inside[stack[-1], name] += 1
+            stack.append(name)
+            try:
+                return real(*args)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in COUNTED:
+        monkeypatch.setattr(solver, name,
+                            counting(name, getattr(solver, name)))
+    report = find_h_roots(THETA, K)
+    assert report.count == 3
+    assert calls == {"h_scalar": 10247, "f_scalar": 1, "domain_bounds": 1,
+                     "scan_brackets": 4, "bisect": 6}
+    # every grid point of the four scans and every bisection step
+    assert inside == {("scan_brackets", "h_scalar"): 4001 + 3 * 2001,
+                      ("bisect", "h_scalar"): 236}
 
 
 # ------------------------------------------- known defects of the grid scan
