@@ -17,9 +17,7 @@ def check_int(name: str, value, minimum: int) -> None:
 
 
 def check_theta_k(theta: float, k: int) -> None:
-    # type(k) is int first: this runs on every h evaluation, and the
-    # Integral check is an ABC lookup many times slower
-    if not (type(k) is int or is_integer(k)) or k < 1:
+    if not is_integer(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be positive and finite, got {theta!r}")

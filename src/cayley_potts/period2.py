@@ -130,19 +130,27 @@ def f_scalar(x: float, theta: float, k: int) -> float:
     return (((theta + 1.0) * x + 1.0) / (2.0 * x + theta)) ** k
 
 
-def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:
-    """u = x^(1/k) and the two factors 1 - theta u and 2u - theta - 1 of g.
+def h_scalar(x: float, theta: float, k: int) -> float:
+    """h(x) = ln f(x) - ln g(x) on (theta_1, theta_2).
 
-    Both factors are positive exactly on the open interval
-    (theta_1, theta_2), so their signs are the domain check and no endpoint
+    h(1) = 0 up to rounding; roots of h are the scalar two-cycles of f
+    together with the fixed point x = 1.  h falls to -infinity at theta_1
+    and climbs to +infinity at theta_2.  g's factors 1 - theta u and
+    2u - theta - 1 (u = x^(1/k)) are both positive exactly on that open
+    interval, so their signs are the domain check and no endpoint
     (theta^-k can overflow) is ever computed."""
-    check_theta_k(theta, k)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if theta >= 1.0:
-        raise DomainError(f"inverse map needs theta < 1, got theta={theta!r}")
-    if x <= 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    # one comparison chain admits every valid call; the checks that name
+    # the fault run only when it fails
+    if not (type(k) is int and k >= 1 and 0.0 < theta < 1.0
+            and 0.0 < x < math.inf):
+        check_theta_k(theta, k)
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
+        if theta >= 1.0:
+            raise DomainError(f"inverse map needs theta < 1, "
+                              f"got theta={theta!r}")
+        if x <= 0.0:
+            raise DomainError(f"x must be positive, got {x!r}")
     # exp(ln x / k) stays accurate across the many decades the domain spans
     u = math.exp(math.log(x) / k)
     num = 1.0 - theta * u
@@ -151,15 +159,5 @@ def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:
         raise DomainError(f"x={x!r} outside the open interval "
                           f"(((theta+1)/2)^k, theta^-k) at theta={theta!r}, "
                           f"k={k}")
-    return u, num, den
-
-
-def h_scalar(x: float, theta: float, k: int) -> float:
-    """h(x) = ln f(x) - ln g(x) on (theta_1, theta_2).
-
-    h(1) = 0 up to rounding; roots of h are the scalar two-cycles of f
-    together with the fixed point x = 1.  h falls to -infinity at theta_1
-    and climbs to +infinity at theta_2."""
-    _, num_g, den_g = _g_factors(x, theta, k)
     ratio_f = ((theta + 1.0) * x + 1.0) / (2.0 * x + theta)
-    return k * math.log(ratio_f) - (math.log(num_g) - math.log(den_g))
+    return k * math.log(ratio_f) - (math.log(num) - math.log(den))

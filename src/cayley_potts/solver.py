@@ -13,9 +13,11 @@ the critical activity.
 
 ``scan_brackets`` and ``bisect`` are not package exports; ``find_h_roots``
 calls them through this module's globals, where ``perfbench/layers.py``
-wraps them by name to count scans, brackets and h evaluations.  The orbit
-pairs come from one rule, ``_pair_roots``, which ``scan.parse_csv`` also
-calls to rebuild the pairs a CSV has no column for.
+wraps them by name to count scans, brackets and h evaluations.  Grid
+points go through the module-global ``h_scalar`` on purpose: the scanned
+function calls it directly, one frame per point, and it is still counted
+there.  The orbit pairs come from one rule, ``_pair_roots``, which
+``scan.parse_csv`` also calls to rebuild the pairs a CSV has no column for.
 
 Everything here is pure and deterministic: identical inputs give
 bit-identical rows.  Nothing here iterates the parity map: the ``orbit``
@@ -70,25 +72,24 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
     or last node (or a node-zero without a sign change around it) cannot be
     bracketed and is skipped.  Deterministic for fixed inputs.
     """
-    xs = _linspace(lo, hi, grid)
-    vals = []
-    for x in xs:
+    inf = math.inf
+    found = []
+    # the two points before the current one, each with the sign of a
+    # finite non-zero value (0 for a zero, a gap or a non-finite value)
+    x_2 = v_2 = x_1 = v_1 = math.nan
+    s_2 = s_1 = 0
+    for x in _linspace(lo, hi, grid):
         try:
             v = float(fn(x))
         except DomainError:
             v = math.nan
-        vals.append(v)
-
-    def signed(a: float, b: float) -> bool:
-        return (math.isfinite(a) and math.isfinite(b)
-                and a != 0.0 and b != 0.0 and (a > 0) != (b > 0))
-
-    found = []
-    for i in range(grid - 1):
-        if vals[i] == 0.0 and i > 0 and signed(vals[i - 1], vals[i + 1]):
-            found.append((xs[i - 1], xs[i + 1], vals[i - 1], vals[i + 1]))
-        if signed(vals[i], vals[i + 1]):
-            found.append((xs[i], xs[i + 1], vals[i], vals[i + 1]))
+        s = 1 if 0.0 < v < inf else -1 if -inf < v < 0.0 else 0
+        if s * s_1 < 0:
+            found.append((x_1, x, v_1, v))
+        elif v_1 == 0.0 and s * s_2 < 0:
+            found.append((x_2, x, v_2, v))
+        x_2, v_2, s_2 = x_1, v_1, s_1
+        x_1, v_1, s_1 = x, v, s
     return found
 
 
@@ -161,7 +162,8 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
         return h_scalar(x, theta, k)
 
     def fn_log(t: float) -> float:
-        return fn(math.exp(t))
+        # h_scalar directly, not through fn: one frame per grid point
+        return h_scalar(math.exp(t), theta, k)
 
     flags: list[str] = []
     # h must enter negative and leave positive; anything else means a root
@@ -217,7 +219,7 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
         if settled:
             prev = settled[-1]
             probes = _linspace(math.log(prev[0]), math.log(entry[0]), 15)
-            if all(abs(fn(math.exp(t))) <= NOISE_FLOOR
+            if all(abs(fn_log(t)) <= NOISE_FLOOR
                    for t in probes[1:-1]):
                 near_degenerate = True
                 if prev[0] != 1.0 and (entry[0] == 1.0

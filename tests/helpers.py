@@ -3,10 +3,12 @@
 Besides the oracles for the tree and the field map, this holds the
 paper's lemmas behind the three-root count, which the package itself never
 needs: the inverse g, the slope h', the polynomial p that controls the sign
-of h' and p's Descartes bound.  They share ``period2``'s domain check.  It
-also holds an exact certificate for a reported two-cycle root, and the
-enumeration oracle's tables and consistency check as whole-array
-expressions, which the package computes in slices.
+of h' and p's Descartes bound.  g and h' compute g's two factors and the
+domain test with their own copy, not ``period2.h_scalar``'s, so they do
+not share the kernel they check.  It also holds an exact certificate for
+a reported two-cycle root, and the enumeration oracle's tables and
+consistency check as whole-array expressions, which the package computes
+in slices.
 """
 
 import math
@@ -15,9 +17,30 @@ from fractions import Fraction
 import numpy as np
 
 from cayley_potts._args import check_theta_k
-from cayley_potts.period2 import _g_factors, theta_cr
+from cayley_potts.period2 import DomainError, theta_cr
 from cayley_potts.potts import finite_volume_measure
 from cayley_potts.tree import FiniteTree, build_tree, edges, sphere
+
+
+def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:
+    """u = x^(1/k) and the two factors 1 - theta u and 2u - theta - 1 of g,
+    with the package's errors: both factors are positive exactly on the
+    open interval (theta_1, theta_2)."""
+    check_theta_k(theta, k)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    if theta >= 1.0:
+        raise DomainError(f"inverse map needs theta < 1, got theta={theta!r}")
+    if x <= 0.0:
+        raise DomainError(f"x must be positive, got {x!r}")
+    u = math.exp(math.log(x) / k)
+    num = 1.0 - theta * u
+    den = 2.0 * u - theta - 1.0
+    if num <= 0.0 or den <= 0.0:
+        raise DomainError(f"x={x!r} outside the open interval "
+                          f"(((theta+1)/2)^k, theta^-k) at theta={theta!r}, "
+                          f"k={k}")
+    return u, num, den
 
 
 def g_scalar(x: float, theta: float, k: int) -> float:
