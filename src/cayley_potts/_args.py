@@ -10,17 +10,22 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def check_int(name: str, value, minimum: int) -> None:
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int, if it is an integer >= ``minimum``."""
     if not is_integer(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, "
                          f"got {value!r}")
+    return int(value)
 
 
-def check_theta_k(theta: float, k: int) -> None:
-    if not is_integer(k) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+def check_theta_k(theta: float, k: int) -> tuple[float, int]:
+    """The plain ``(float(theta), int(k))`` for a positive finite theta and
+    an integer k >= 1.  Numpy scalars would carry numpy arithmetic into the
+    caller: an overflowing power returns inf with a warning, not an error."""
+    k = check_int("k", k, 1)
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    return float(theta), k
 
 
 def activity(J: float, beta: float) -> float:

@@ -10,8 +10,9 @@ Subcommands:
 
 The activity may be given directly (``--theta``) or as a coupling and
 inverse temperature (``--J`` with ``--beta``); exactly one form per call.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.  ``scan``
-renders the ``roots`` and ``scan`` outputs and writes every subcommand's.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.  Each
+subcommand returns its text and exit code; ``main`` checks ``--out`` before
+the work and writes the text once, to ``--out`` or to stdout.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ from .solver import find_h_roots
 # tree-check; every other subcommand runs on math alone
 
 VERIFY_TOL = 1e-10
-
-
-def _add_activity_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta", type=float, default=None,
-                        help="activity exp(J*beta); give this or --J/--beta")
-    parser.add_argument("--J", type=float, default=None,
-                        help="coupling (negative = antiferromagnetic)")
-    parser.add_argument("--beta", type=float, default=None,
-                        help="inverse temperature (positive)")
 
 
 def _resolve_theta(args) -> float:
@@ -60,14 +52,9 @@ def _resolve_theta(args) -> float:
         raise ValueError(f"--J/--beta: {exc}") from None
 
 
-def _emit_text(text: str, args) -> None:
-    write_text(args.out or sys.stdout, text)
-
-
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> tuple[str, int]:
     theta = _resolve_theta(args)
-    _emit_text(render_report(find_h_roots(theta, args.k), args.format), args)
-    return 0
+    return render_report(find_h_roots(theta, args.k), args.format), 0
 
 
 def _parse_theta_range(text: str) -> tuple[float, float, int]:
@@ -81,14 +68,12 @@ def _parse_theta_range(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[str, int]:
     lo, hi, steps = _parse_theta_range(args.theta)
-    _emit_text(render_rows(scan_theta(args.k, lo, hi, steps), args.format),
-               args)
-    return 0
+    return render_rows(scan_theta(args.k, lo, hi, steps), args.format), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     import numpy as np
 
     from .potts import (ModelParams, check_consistency, check_enumeration,
@@ -124,8 +109,7 @@ def cmd_verify(args) -> int:
     passed = worst <= VERIFY_TOL
     lines.append(f"max violation = {worst:.3e} over {args.trials} trials")
     lines.append(f"{'PASS' if passed else 'FAIL'} (tolerance {VERIFY_TOL:g})")
-    _emit_text("\n".join(lines) + "\n", args)
-    return 0 if passed else 2
+    return "\n".join(lines) + "\n", 0 if passed else 2
 
 
 def _relation_marks(z_in, z_out, theta: float) -> str:
@@ -152,7 +136,7 @@ def _relation_marks(z_in, z_out, theta: float) -> str:
     return " ".join(marks)
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[str, int]:
     theta = _resolve_theta(args)
     try:
         z = tuple(float(s) for s in args.z.split(","))
@@ -198,11 +182,10 @@ def cmd_orbit(args) -> int:
     else:
         lines.append(f"no convergence within {args.max_iter} double-steps; "
                      f"last z = ({', '.join(f'{v:.17g}' for v in z)})")
-    _emit_text("\n".join(lines) + "\n", args)
-    return 0 if converged else 2
+    return "\n".join(lines) + "\n", 0 if converged else 2
 
 
-def cmd_tree_check(args) -> int:
+def cmd_tree_check(args) -> tuple[str, int]:
     from .tree import build_tree, level_sizes
 
     tree = build_tree(args.k, args.n)
@@ -212,8 +195,7 @@ def cmd_tree_check(args) -> int:
         lines.append(f"  |W_{m}| = {size}")
     lines.append(f"  vertices = {tree.n_vertices}")
     lines.append(f"  edges    = {tree.n_vertices - 1}")
-    _emit_text("\n".join(lines) + "\n", args)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,50 +206,50 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("roots", help="roots of h for one activity")
-    p.add_argument("--k", type=int, required=True, help="tree order (>= 3)")
-    _add_activity_args(p)
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_roots)
+    # options shared between subcommands, each declared once
+    k_opt, act, fmt = (argparse.ArgumentParser(add_help=False)
+                       for _ in range(3))
+    k_opt.add_argument("--k", type=int, required=True,
+                       help="tree order (descendants per vertex)")
+    act.add_argument("--theta", type=float, default=None,
+                     help="activity exp(J*beta); give this or --J/--beta")
+    act.add_argument("--J", type=float, default=None,
+                     help="coupling (negative = antiferromagnetic)")
+    act.add_argument("--beta", type=float, default=None,
+                     help="inverse temperature (positive)")
+    fmt.add_argument("--format", choices=FORMATS, default="text")
 
-    p = sub.add_parser("scan", help="sweep the activity over a range")
-    p.add_argument("--k", type=int, required=True)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[k_opt, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    command("roots", cmd_roots, "roots of h for one activity", act, fmt)
+
+    p = command("scan", cmd_scan, "sweep the activity over a range", fmt)
     p.add_argument("--theta", required=True, metavar="LO:HI:STEPS",
                    help="STEPS evenly spaced activities from LO to HI; "
                         "STEPS=1 gives LO alone")
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("verify",
-                       help="exhaustive finite-volume compatibility check")
-    p.add_argument("--k", type=int, required=True)
+    p = command("verify", cmd_verify,
+                "exhaustive finite-volume compatibility check", act)
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--n", type=int, required=True, help="tree depth (>= 1)")
-    _add_activity_args(p)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=float, default=None,
                    help="negative control: offset one inner-boundary field")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("orbit", help="iterate the 4-component parity map")
-    p.add_argument("--k", type=int, required=True)
-    _add_activity_args(p)
+    p = command("orbit", cmd_orbit, "iterate the 4-component parity map", act)
     p.add_argument("--z", default="1,1,1,1", metavar="Z1,Z2,Z3,Z4")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("tree-check", help="print the level structure")
-    p.add_argument("--k", type=int, required=True)
+    p = command("tree-check", cmd_tree_check, "print the level structure")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_tree_check)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -279,9 +261,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; those are validation errors
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.out:  # fail before the work; append mode truncates nothing
+        if args.out is not None:  # before the work; "ab" truncates nothing
             open(args.out, "ab").close()
-        return args.func(args)
+        text, code = args.func(args)
+        write_text(sys.stdout if args.out is None else args.out, text)
+        return code
     # DomainError and EnumerationLimitError are ValueErrors, a failed
     # bisection is an ArithmeticError, and an OSError is an unusable --out
     except (ValueError, OSError) as exc:

@@ -35,7 +35,7 @@ class DomainError(ValueError):
 
 def theta_cr(k: int) -> float:
     """Critical activity (k-2)/(k+1); the period-2 theory needs k >= 3."""
-    check_int("k", k, 3)
+    k = check_int("k", k, 3)
     return (k - 2) / (k + 1)
 
 
@@ -44,10 +44,7 @@ def domain_bounds(theta: float, k: int) -> tuple[float, float]:
     interval where the inverse map g stays positive.  For theta < 1 they
     straddle 1.  Raises OverflowError when an endpoint leaves the float
     range (theta^-k for small theta and large k)."""
-    check_theta_k(theta, k)
-    # plain floats overflow with an OverflowError; numpy scalars would
-    # return inf with a warning instead
-    theta, k = float(theta), int(k)
+    theta, k = check_theta_k(theta, k)
     try:
         return ((theta + 1.0) / 2.0) ** k, theta ** (-k)
     except OverflowError:
@@ -68,11 +65,10 @@ def period2_map(z, theta: float, k: int) -> tuple[float, float, float, float]:
     of floats.  The denominators are positive, so the map is total; a
     component that leaves the float range (inf, or 0) raises OverflowError.
     """
-    check_theta_k(theta, k)
+    theta, k = check_theta_k(theta, k)
     z = [float(v) for v in z]
     if len(z) != 4 or not all(0.0 < v < math.inf for v in z):
         raise ValueError("z must be four positive finite numbers")
-    theta, k = float(theta), int(k)  # numpy scalars overflow to inf instead
     z1, z2, z3, z4 = z
     d34 = z3 + z4 + theta
     d12 = z1 + z2 + theta
@@ -123,11 +119,18 @@ def sign_relation_check(z_in, z_out, theta: float) -> tuple[bool, bool, bool]:
 def f_scalar(x: float, theta: float, k: int) -> float:
     """Scalar consistency map on the invariant set:
     f(x) = (((theta+1) x + 1)/(2x + theta))^k, strictly decreasing for
-    theta < 1, with fixed point f(1) = 1."""
-    check_theta_k(theta, k)
+    theta < 1, with fixed point f(1) = 1.  Raises OverflowError when f(x)
+    leaves the float range."""
+    theta, k = check_theta_k(theta, k)
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be positive and finite, got {x!r}")
-    return (((theta + 1.0) * x + 1.0) / (2.0 * x + theta)) ** k
+    x = float(x)
+    try:
+        return (((theta + 1.0) * x + 1.0) / (2.0 * x + theta)) ** k
+    except OverflowError:
+        raise OverflowError(f"f(x) = (((theta+1)x+1)/(2x+theta))^k leaves "
+                            f"the float range at x={x!r}, theta={theta!r}, "
+                            f"k={k}") from None
 
 
 def h_scalar(x: float, theta: float, k: int) -> float:

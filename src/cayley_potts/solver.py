@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ._args import check_theta_k
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
@@ -151,10 +152,11 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
             f"activity must be below 1 (antiferromagnetic regime) for the "
             f"period-2 root analysis, got theta={theta:.12g}")
     t_cr = theta_cr(k)  # validates k >= 3
-    # numpy scalars would carry numpy arithmetic into every h evaluation
-    theta, k, t_cr = float(theta), int(k), float(t_cr)
+    # plain theta and k: numpy scalars would carry numpy arithmetic into
+    # every h evaluation
+    theta, k = check_theta_k(theta, k)
 
-    t1, t2 = domain_bounds(theta, k)  # validates theta > 0
+    t1, t2 = domain_bounds(theta, k)
     lo = t1 * (1.0 + CLAMP_MARGIN)
     hi = t2 * (1.0 - CLAMP_MARGIN)
 

@@ -169,12 +169,21 @@ def test_roots_rejects_bad_parameters(capsys):
     ("roots", "--k", "3", "--theta", "0.1", "--format", "json"),
     ("roots", "--k", "3", "--theta", "0.1", "--format", "csv"),
     ("scan", "--k", "3", "--theta", "0.1:0.4:2", "--format", "csv"),
-], ids=["roots-text", "roots-json", "roots-csv", "scan-csv"])
+    ("verify", "--k", "2", "--n", "2", "--theta", "0.5", "--trials", "2"),
+    ("verify", "--k", "2", "--n", "2", "--theta", "0.5", "--trials", "2",
+     "--perturb", "0.3"),
+    ("orbit", "--k", "3", "--theta", "0.1", "--z", "1.2,1.2,0.8,0.8"),
+    ("tree-check", "--k", "3", "--n", "2"),
+], ids=["roots-text", "roots-json", "roots-csv", "scan-csv", "verify",
+        "verify-perturb", "orbit", "tree-check"])
 def test_roots_out_file_matches_stdout(capsys, tmp_path, argv):
+    # a failing check exits 2 and still writes its report to the file
+    expected_code = 2 if "--perturb" in argv else 0
     target = tmp_path / "out"
-    code, _, _ = run(capsys, *argv, "--out", str(target))
-    assert code == 0
-    _, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == expected_code and out == ""
+    code, out, _ = run(capsys, *argv)
+    assert code == expected_code
     assert target.read_bytes() == out.encode("ascii")
 
 
@@ -183,8 +192,9 @@ def test_roots_out_file_matches_stdout(capsys, tmp_path, argv):
     ("tree-check", "--k", "2", "--n", "1"),
 ], ids=["roots", "tree-check"])
 def test_unwritable_out_is_an_error(capsys, tmp_path, command):
-    # a missing directory and a directory are reported, not a traceback
-    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+    # a missing directory, a directory and an empty path are reported,
+    # not a traceback, and the empty path does not fall back to stdout
+    for target in (tmp_path / "missing" / "out.txt", tmp_path, ""):
         code, out, err = run(capsys, *command, "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and str(target) in err

@@ -180,6 +180,23 @@ def test_f_golden_and_monotone():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("theta, k", [(0.01, 200), (0.01, np.int64(200)),
+                                      (np.float64(0.01), np.int32(200))],
+                         ids=["int", "np.int64", "np.float64-np.int32"])
+def test_f_overflow_is_named_for_numpy_scalars(theta, k):
+    # f and theta_cr compute on plain floats, as domain_bounds does, so a
+    # numpy scalar meets the named error and returns a plain float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError,
+                           match=r"x=0\.001, theta=0\.01, k=200"):
+            f_scalar(1e-3, theta, k)
+        value = f_scalar(np.float64(0.5), theta, k)
+        t_cr = theta_cr(k)
+    assert type(value) is float and value == f_scalar(0.5, 0.01, 200)
+    assert type(t_cr) is float and t_cr == theta_cr(200)
+
+
 def test_g_fixes_one_and_golden():
     assert g_scalar(1.0, 0.1, 3) == pytest.approx(1.0, abs=1e-15)
     assert g_scalar(2.0, 0.1, 3) == pytest.approx(G_AT_2, rel=1e-14)
