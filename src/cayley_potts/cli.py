@@ -12,7 +12,8 @@ The activity may be given directly (``--theta``) or as a coupling and
 inverse temperature (``--J`` with ``--beta``); exactly one form per call.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  Each
 subcommand returns its text and exit code; ``main`` checks ``--out`` before
-the work and writes the text once, to ``--out`` or to stdout.
+the work and writes the text once, to ``--out`` or to stdout.  A command
+that fails leaves no new ``--out`` file, and an existing one intact.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from . import __version__
 from ._args import activity, check_int
@@ -81,6 +83,7 @@ def cmd_verify(args) -> tuple[str, int]:
     from .tree import build_tree, sphere
 
     theta = _resolve_theta(args)
+    check_int("--q", args.q, 2)
     check_int("--n", args.n, 1)
     check_int("--trials", args.trials, 1)
     check_int("--seed", args.seed, 0)
@@ -260,20 +263,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; those are validation errors
         return 0 if exc.code in (0, None) else 1
+    created = False
     try:
-        if args.out is not None:  # before the work; "ab" truncates nothing
-            open(args.out, "ab").close()
+        if args.out is not None:  # before the work, so a bad path fails fast
+            try:
+                open(args.out, "xb").close()
+                created = True
+            except FileExistsError:  # "ab" truncates nothing
+                open(args.out, "ab").close()
         text, code = args.func(args)
         write_text(sys.stdout if args.out is None else args.out, text)
         return code
     # DomainError and EnumerationLimitError are ValueErrors, a failed
     # bisection is an ArithmeticError, and an OSError is an unusable --out
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}"
     except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"numerical failure: {exc}"
+    if created:  # a failed command leaves no new file behind
+        Path(args.out).unlink(missing_ok=True)
+    print(message, file=sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -246,6 +246,8 @@ def check_enumeration(tree: FiniteTree, q: int) -> None:
                                     f"q^|V_n| = {q}^{n} > {ENUMERATION_GUARD}")
 
 
+# 8 keys: perfbench's oracle workload checks four (k, depth, q) shapes,
+# and each check also enumerates its depth - 1 inner ball
 @lru_cache(maxsize=8)
 def _enum_tables(k: int, depth: int, q: int):
     """Per-(tree, q) enumeration tables, cached because the consistency

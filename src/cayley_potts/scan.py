@@ -7,8 +7,9 @@ fields (the domain, each root's residual and kind) are recomputed from the
 row by the same calls the solver makes, so they match it bit for bit.
 
 The CSV has a fixed 8-column schema with 17-significant-digit decimals, so
-a file round-trips to the exact same floats; the JSON mirrors its field
-names with full root lists.  Output is ASCII, deterministic byte for byte,
+a file round-trips to the exact same floats, and ``parse_csv`` reads back
+only lines ``emit_csv`` would write; the JSON mirrors its field names with
+full root lists.  Output is ASCII, deterministic byte for byte,
 and goes through one writer.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from ._args import check_int
 from .period2 import domain_bounds, h_scalar, theta_cr
-from .solver import ScanRow, _linspace, _pair_roots, find_h_roots
+from .solver import ScanRow, _linspace, find_h_roots
 
 CSV_HEADER = "k,theta,theta_cr,count,x0,x1,x2,flags"
 FORMATS = ("text", "csv", "json")
@@ -34,7 +35,7 @@ def scan_theta(k: int, theta_lo: float, theta_hi: float,
     A failed row is recorded with an error flag and an empty root list,
     never dropped.
     """
-    t_cr = theta_cr(k)  # validates k
+    theta_cr(k)  # validates k
     if not 0.0 < theta_lo < theta_hi < 1.0:
         raise ValueError(f"need 0 < theta_lo < theta_hi < 1, got "
                          f"[{theta_lo}, {theta_hi}]")
@@ -45,8 +46,7 @@ def scan_theta(k: int, theta_lo: float, theta_hi: float,
         try:
             rows.append(find_h_roots(theta, k))
         except (ValueError, ArithmeticError) as exc:
-            rows.append(ScanRow(k=k, theta=theta, theta_cr=t_cr,
-                                roots=(), pairs=(),
+            rows.append(ScanRow(k=k, theta=theta, roots=(),
                                 flags=(f"error:{type(exc).__name__}",)))
     return rows
 
@@ -176,9 +176,13 @@ def emit_csv(rows, destination) -> None:
 def parse_csv(source) -> list[ScanRow]:
     """Rebuild rows from emit_csv output.
 
-    The 17-digit decimals parse back to the exact original floats.  The CSV
-    has no pair column, so the orbit pairs are rebuilt from the roots by
-    the solver's own pairing rule, and a solver row round-trips exactly.
+    Each row is built from its k, theta, root columns and flags, and a line
+    is accepted only if that row writes it back: theta_cr must be
+    theta_cr(k), the count must match the roots, each root must sit in the
+    column emit_csv puts it in, and every float must be in its %.17g form.
+    The 17-digit decimals parse back to the exact original floats, and the
+    row pairs its roots by the solver's own rule, so a solver row
+    round-trips exactly.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="ascii")
@@ -194,26 +198,25 @@ def parse_csv(source) -> list[ScanRow]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed row: {ln!r}")
-        extras: list[float] = []
-        flags: list[str] = []
-        for flag in (f for f in parts[7].split(";") if f):
-            if flag.startswith(_OVERFLOW_PREFIX):
-                extras = [float(s) for s in
-                          flag[len(_OVERFLOW_PREFIX):].split("|") if s]
-            else:
-                flags.append(flag)
-        roots = sorted([float(p) for p in parts[4:7] if p] + extras)
-        if int(parts[3]) != len(roots):
-            raise ValueError(f"count column disagrees with roots: {ln!r}")
-        k, theta, roots = int(parts[0]), float(parts[1]), tuple(roots)
         try:
-            pairs = _pair_roots(roots, theta, k)
+            k, theta, _, _, x0, x1, x2, flag_column = parts
+            roots = [float(x) for x in (x0, x1, x2) if x]
+            flags = []
+            for flag in (f for f in flag_column.split(";") if f):
+                if flag.startswith(_OVERFLOW_PREFIX):
+                    roots += [float(x) for x in
+                              flag[len(_OVERFLOW_PREFIX):].split("|")]
+                else:
+                    flags.append(flag)
+            row = ScanRow(k=int(k), theta=float(theta),
+                          roots=tuple(sorted(roots)), flags=tuple(flags))
         except OverflowError:
             # f(x0) = (...)^k past the float range: no solver row holds
             # such a root, since find_h_roots paired the same floats
             raise ValueError(f"root out of range for its k: {ln!r}") from None
-        rows.append(ScanRow(k=k, theta=theta, theta_cr=float(parts[2]),
-                            roots=roots, pairs=pairs, flags=tuple(flags)))
+        except ValueError as exc:
+            raise ValueError(f"malformed row {ln!r}: {exc}") from None
+        if _row_fields(row) != parts:
+            raise ValueError(f"row does not write back as read: {ln!r}")
+        rows.append(row)
     return rows

@@ -16,8 +16,10 @@ calls them through this module's globals, where ``perfbench/layers.py``
 wraps them by name to count scans, brackets and h evaluations.  Grid
 points go through the module-global ``h_scalar`` on purpose: the scanned
 function calls it directly, one frame per point, and it is still counted
-there.  The orbit pairs come from one rule, ``_pair_roots``, which
-``scan.parse_csv`` also calls to rebuild the pairs a CSV has no column for.
+there.  A ``ScanRow`` holds only k, theta, its roots and flags and works
+out the rest itself: theta_cr from k, and the orbit pairs from the roots
+by one rule, ``_pair_roots``, so a row read back from a CSV, which has no
+pair column, pairs its roots as the solver did.
 
 Everything here is pure and deterministic: identical inputs give
 bit-identical rows.  Nothing here iterates the parity map: the ``orbit``
@@ -27,7 +29,7 @@ subcommand does that in the loop that prints each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ._args import check_theta_k
@@ -123,14 +125,20 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
 @dataclass(frozen=True)
 class ScanRow:
     """The roots of h at one activity: the result of ``find_h_roots`` and
-    one row of a sweep."""
+    one row of a sweep.  theta_cr and the orbit pairs are worked out from
+    k and the roots, never passed in."""
 
     k: int
     theta: float
-    theta_cr: float
+    theta_cr: float = field(init=False)
     roots: tuple[float, ...]                 # ascending
-    pairs: tuple[tuple[float, float], ...]
+    pairs: tuple[tuple[float, float], ...] = field(init=False)
     flags: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta_cr", theta_cr(self.k))
+        object.__setattr__(self, "pairs",
+                           _pair_roots(self.roots, self.theta, self.k))
 
     @property
     def count(self) -> int:
@@ -239,17 +247,17 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
     if near_degenerate:
         flags.append("near-degenerate")
 
-    roots = tuple(root for root, _ in merged)
-    return ScanRow(k=k, theta=theta, theta_cr=t_cr, roots=roots,
-                   pairs=_pair_roots(roots, theta, k), flags=tuple(flags))
+    return ScanRow(k=k, theta=theta, roots=tuple(root for root, _ in merged),
+                   flags=tuple(flags))
 
 
 def _pair_roots(roots: tuple[float, ...], theta: float,
                 k: int) -> tuple[tuple[float, float], ...]:
     """Orbit pairs (x0, x2) among ascending roots: each root below 1 takes
     the unused root above 1 nearest to its image f(x0), if that lies within
-    PAIR_TOL.  ``find_h_roots`` pairs by this rule and ``scan.parse_csv``
-    rebuilds pairs by it, so a CSV round trip keeps them."""
+    PAIR_TOL.  ``ScanRow`` pairs every row by this rule, the solver's and
+    the ones ``scan.parse_csv`` reads back alike, so a CSV round trip keeps
+    the pairs."""
     below = [x for x in roots if x < 1.0]
     unused = [x for x in roots if x > 1.0]
     pairs: list[tuple[float, float]] = []

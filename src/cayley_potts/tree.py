@@ -49,10 +49,22 @@ def sphere_size(k: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class FiniteTree:
-    """Radius-``depth`` ball of the order-``k`` Cayley tree, BFS-indexed."""
+    """Radius-``depth`` ball of the order-``k`` Cayley tree, BFS-indexed:
+    plain ints k >= 1 and depth >= 0, at most MAX_VERTICES vertices."""
 
     k: int
     depth: int
+
+    def __post_init__(self):
+        k = check_int("tree order k", self.k, 1)
+        n = check_int("tree depth n", self.depth, 0)
+        total = ball_size(k, n)
+        if total > MAX_VERTICES:
+            raise TreeSizeError(
+                f"tree with k={k}, n={n} needs {total} vertices, "
+                f"above the guard of {MAX_VERTICES}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "depth", n)
 
     @property
     def n_vertices(self) -> int:
@@ -61,15 +73,7 @@ class FiniteTree:
 
 def build_tree(k: int, n: int) -> FiniteTree:
     """The radius-n ball of the order-k Cayley tree."""
-    check_int("tree order k", k, 1)
-    check_int("tree depth n", n, 0)
-    k, n = int(k), int(n)
-    total = ball_size(k, n)
-    if total > MAX_VERTICES:
-        raise TreeSizeError(
-            f"tree with k={k}, n={n} needs {total} vertices, "
-            f"above the guard of {MAX_VERTICES}")
-    return FiniteTree(k=k, depth=n)
+    return FiniteTree(k, n)
 
 
 def sphere(tree: FiniteTree, m: int) -> range:

@@ -7,12 +7,14 @@ from cayley_potts.period2 import (domain_bounds, f_scalar, h_scalar,
                                   period2_map, theta_cr)
 from cayley_potts.potts import ModelParams
 from cayley_potts.scan import scan_theta
-from cayley_potts.tree import build_tree
+from cayley_potts.tree import FiniteTree, build_tree
 
 # each takes one integer argument, and 3 is a valid value for all of them
 ENTRY_POINTS = {
     "build_tree-k": lambda v: build_tree(v, 2),
     "build_tree-n": lambda v: build_tree(2, v),
+    "FiniteTree-k": lambda v: FiniteTree(v, 2),
+    "FiniteTree-depth": lambda v: FiniteTree(2, v),
     "theta_cr": theta_cr,
     "domain_bounds": lambda v: domain_bounds(0.1, v),
     "f_scalar": lambda v: f_scalar(2.0, 0.1, v),

@@ -221,6 +221,23 @@ def test_validation_error_leaves_existing_out_intact(capsys, tmp_path):
     assert target.read_bytes() == b"kept\n"
 
 
+@pytest.mark.parametrize("k, theta, expected",
+                         [("3", "1.5", 1), ("200", "0.01", 2)])
+def test_failed_command_leaves_no_new_out(capsys, tmp_path, k, theta,
+                                          expected):
+    # the path is created before the work and removed when the work fails
+    target = tmp_path / "new.txt"
+    code, out, _ = run(capsys, "roots", "--k", k, "--theta", theta,
+                       "--out", str(target))
+    assert code == expected and out == ""
+    assert not target.exists()
+    # an existing file stays as it was
+    target.write_bytes(b"kept\n")
+    assert run(capsys, "roots", "--k", k, "--theta", theta,
+               "--out", str(target))[0] == expected
+    assert target.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("k, theta", [("200", "0.01"), ("3", "5e-324")])
 def test_roots_domain_overflow_is_named(capsys, k, theta):
     # theta^-k leaves the float range at both settings; the message says so
@@ -342,6 +359,7 @@ def test_verify_enumeration_guard(capsys, monkeypatch):
 
 @pytest.mark.parametrize("flag, value, minimum", [
     ("--seed", "-1", 0), ("--n", "0", 1), ("--trials", "0", 1),
+    ("--q", "1", 2),
 ])
 def test_verify_integer_flags_are_named(capsys, flag, value, minimum):
     argv = {"--k": "2", "--n": "1", "--theta": "0.5", "--trials": "1"}

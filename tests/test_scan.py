@@ -136,8 +136,9 @@ def test_csv_roundtrip_exact():
 
 
 def test_csv_overflow_column():
-    row = ScanRow(k=3, theta=0.1, theta_cr=0.25,
-                  roots=(0.125, 0.5, 1.0, 2.0, 30.0), pairs=(), flags=())
+    row = ScanRow(k=3, theta=0.1, roots=(0.125, 0.5, 1.0, 2.0, 30.0),
+                  flags=())
+    assert row.pairs == ()
     buf = io.StringIO()
     emit_csv([row], buf)
     line = buf.getvalue().split("\n")[1]
@@ -151,21 +152,32 @@ def test_csv_overflow_column():
 def test_parse_csv_pairs_only_what_the_solver_paired():
     # at k=50 just below theta_cr the solver reports a pile of noise roots
     # (ROADMAP item 2); the extras ride in the overflow flag, and the x0/x2
-    # columns are not the pair it reported
-    rows = [find_h_roots(theta_cr(50) * (1 - 1e-10), 50),
-            ScanRow(k=3, theta=0.1, theta_cr=0.25,
-                    roots=(0.125, 0.5, 1.0, 2.0, 30.0),
-                    pairs=((0.5, 2.0),), flags=())]
+    # columns are not the pair it reported.  A row with a pair the rule
+    # would not give cannot be built: test_scan_row_works_out_its_fields
+    rows = [find_h_roots(theta_cr(50) * (1 - 1e-10), 50)]
     buf = io.StringIO()
     emit_csv(rows, buf)
     for row, parsed in zip(rows, parse_csv(io.StringIO(buf.getvalue()))):
         assert parsed.roots == row.roots
         assert set(parsed.pairs) <= set(row.pairs)
+        assert parsed == row
+
+
+def test_scan_row_works_out_its_fields():
+    report = find_h_roots(0.1, 3)
+    row = ScanRow(k=3, theta=0.1, roots=report.roots, flags=())
+    assert row.theta_cr == 0.25 == theta_cr(3)
+    assert row.pairs == report.pairs and len(row.pairs) == 1
+    assert row == report and row.count == 3
+    # theta_cr and the pairs follow from k and the roots; they are not
+    # arguments, so no row can carry a hand-set value
+    for extra in ({"theta_cr": 0.9}, {"pairs": ((0.5, 2.0),)}):
+        with pytest.raises(TypeError):
+            ScanRow(k=3, theta=0.1, roots=report.roots, flags=(), **extra)
 
 
 def test_csv_error_row_renders_empty_fields():
-    row = ScanRow(k=3, theta=0.5, theta_cr=0.25, roots=(),
-                  pairs=(), flags=("error:ArithmeticError",))
+    row = ScanRow(k=3, theta=0.5, roots=(), flags=("error:ArithmeticError",))
     buf = io.StringIO()
     emit_csv([row], buf)
     assert buf.getvalue().split("\n")[1] == (
@@ -189,8 +201,15 @@ def test_parse_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_csv(io.StringIO(CSV_HEADER + "\n3,0.5,0.25,2,,1,,\n"))
     # a root below 1 whose image overflows at this k: no solver row
-    with pytest.raises(ValueError):
-        parse_csv(io.StringIO(CSV_HEADER + "\n1000,0.01,0.997,2,1e-05,1,,\n"))
+    line = f"1000,0.01,{theta_cr(1000):.17g},2,{1e-05:.17g},1,,"
+    with pytest.raises(ValueError, match="root out of range for its k"):
+        parse_csv(io.StringIO(CSV_HEADER + "\n" + line + "\n"))
+    # lines emit_csv would not write: theta_cr other than theta_cr(k), a
+    # root outside its column, a float not in its %.17g form
+    for line in ("3,0.1,0.9,1,,1,,", "3,0.1,0.25,1,,7,,",
+                 "3,0.1,0.25,1,,1,,"):
+        with pytest.raises(ValueError, match="does not write back"):
+            parse_csv(io.StringIO(CSV_HEADER + "\n" + line + "\n"))
 
 
 def test_17g_is_lossless():

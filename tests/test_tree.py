@@ -127,11 +127,23 @@ def test_build_tree_rejects_bad_args():
         build_tree(2, -1)
     with pytest.raises(ValueError):
         build_tree(2.5, 2)
+    # the tree checks itself, with build_tree's messages
+    with pytest.raises(ValueError, match="tree order k must be an integer "
+                                         ">= 1, got 0"):
+        FiniteTree(0, 3)
+    with pytest.raises(ValueError, match="tree order k must be an integer "
+                                         ">= 1, got -2"):
+        FiniteTree(-2, 2)
+    with pytest.raises(ValueError, match="tree depth n must be an integer "
+                                         ">= 0, got -1"):
+        FiniteTree(2, -1)
 
 
 def test_build_tree_size_guard():
     with pytest.raises(TreeSizeError):
         build_tree(2, 60)
+    with pytest.raises(TreeSizeError, match="above the guard"):
+        FiniteTree(3, 60)
     # the guard triggers before any allocation of that size
     assert ball_size(2, 60) > MAX_VERTICES
 
