@@ -11,11 +11,15 @@ of the package, so it favours exactness over asymptotics: measures cover
 every configuration (guarded by ENUMERATION_GUARD), weights are assembled
 in log space once per distinct (monochromatic edge count, boundary digits)
 cell, and the partition sum still adds every configuration's weight in
-ascending order, in numpy's pairwise order.  check_consistency forms no
-q**|V|-long array of doubles: the partition sum walks numpy's pairwise
-tree down to slices of _SLICE weights, and the outer measure's marginal
-is summed from the per-cell probabilities slab by slab, so its bits are
-those of the whole-array sums.
+ascending order, in numpy's pairwise order.  The cell tables factor
+through the inner ball: a radius-n configuration's cell depends on its
+inner configuration only through that configuration's radius-(n-1) cell,
+so each depth's tables are built from the one below it and nothing
+q**|V|-long is cached.  check_consistency forms no q**|V|-long array at
+all: the partition sum walks numpy's pairwise tree down to slices of
+_SLICE weights, and the outer measure's marginal is one sum per inner
+cell, gathered from the per-cell probabilities slab by slab, so its bits
+are those of the whole-array sums.
 
 The field recursion runs one generation at a time.  f_map takes all q sums
 of a generation of N vertices as one log-sum-exp over a (q, q, N) block
@@ -48,13 +52,14 @@ from typing import Sequence
 import numpy as np
 
 from ._args import activity, check_int, check_theta_k
-from .tree import FiniteTree, build_tree, edges, sphere
+from .tree import FiniteTree, build_tree, sphere
 
 # hard ceiling on q**|V_n| for exhaustive enumeration
 ENUMERATION_GUARD = 20_000_000
 
-# configurations per slice of the oracle's q**|V_n|-long passes: 1 MB of
-# doubles, so a slice's scratch stays in cache.  Oracle benchmark, 10 s
+# elements per slice of the oracle's long passes (the partition sum's
+# terms, the table keys, the marginal's gathers): 1 MB of doubles, so a
+# slice's scratch stays in cache.  Oracle benchmark, 10 s
 # runs, seeds 1-3, 2 vCPUs, numpy 2.4.6: 2**15 gave 137-162 ops/s, 2**16
 # 154-173, 2**17 163-180 and 2**18 167-176 (whole-array passes: 79-91).
 # _repeat_sum needs it above 128, where numpy's pairwise sum splits.
@@ -246,9 +251,11 @@ def check_enumeration(tree: FiniteTree, q: int) -> None:
                                     f"q^|V_n| = {q}^{n} > {ENUMERATION_GUARD}")
 
 
-# 8 keys: perfbench's oracle workload checks four (k, depth, q) shapes,
-# and each check also enumerates its depth - 1 inner ball
-@lru_cache(maxsize=8)
+# the oracle benchmark checks four (k, depth, q) shapes, (2, 2, 3) at
+# depth 3 and the others at depth 2, and each check reads its depth and
+# depth - 1 tables; building them builds every shallower depth, so the
+# oracle's traffic is 3 + 3 + 3 + 4 = 13 keys
+@lru_cache(maxsize=13)
 def _enum_tables(k: int, depth: int, q: int):
     """Per-(tree, q) enumeration tables, cached because the consistency
     oracle revisits the same tree many times.
@@ -257,38 +264,73 @@ def _enum_tables(k: int, depth: int, q: int):
     and its boundary digits, so finite_volume_measure evaluates each weight
     once per distinct (mono, boundary-group) cell and spreads it over the
     cell's configurations.  Returns the occupied cells' mono counts and
-    group indices, how many configurations each cell holds, and every
-    configuration's cell index (int32, in base-q index order).  The counts
-    are built from broadcast digit patterns, one vertex at a time, with no
-    integer division over the q**N indices.  The cell counts are summed and
-    the cell indices written over their keys _SLICE configurations at a
-    time, so no q**N array wider than int32 is formed."""
-    tree = build_tree(k, depth)
-    check_enumeration(tree, q)
-    n = tree.n_vertices
-    # vertex v is digit v, so appending it multiplies the table by q; its
-    # parent's digit is the middle axis of the table so far (int8 holds
-    # every count: the guard keeps n at most 24)
-    eye = np.eye(q, dtype=np.int8).reshape(q, 1, q, 1)
-    mono = np.zeros(q, dtype=np.int8)
-    for p, v in edges(tree):
-        mono = (mono.reshape(1, q ** (v - 1 - p), q, q**p) + eye).reshape(-1)
-    # the boundary generation holds the most significant digits
-    n_groups = q ** len(sphere(tree, depth))
-    key = (mono.reshape(n_groups, -1)
-           + np.arange(0, n_groups * n, n, dtype=np.int32)[:, None]).reshape(-1)
-    del mono
-    counts = np.zeros(n_groups * n, dtype=np.intp)
-    for i in range(0, len(key), _SLICE):
-        counts += np.bincount(key[i:i + _SLICE], minlength=n_groups * n)
-    occupied = np.flatnonzero(counts)
-    to_cell = np.zeros(n_groups * n, dtype=np.int32)
-    to_cell[occupied] = np.arange(len(occupied), dtype=np.int32)
-    cell = key  # each key is overwritten by its cell index
-    for i in range(0, len(cell), _SLICE):
-        cell[i:i + _SLICE] = to_cell[cell[i:i + _SLICE]]
-    cell_group, cell_mono = np.divmod(occupied, n)
-    tables = (cell_mono, cell_group, counts[occupied], cell)
+    group indices (ascending by group, then mono), how many configurations
+    each cell holds, and ``split``.
+
+    The tables factor through the inner ball.  Write a configuration's
+    index as i * q**|V_{depth-1}| + j, with i the boundary digits and j
+    the inner configuration.  Its mono count is mono(j) plus the edges
+    from the boundary to equal parent digits, and the parent digits are
+    j's group, so its cell depends on j only through j's cell c at depth
+    - 1: that cell is split[i, c] (int32, C-contiguous, one row per i).
+    Depth 0 is the root alone: q cells of one configuration each, under
+    one empty inner ball.  The tables are built from the depth - 1 ones,
+    so no q**N array is formed; composing split over the depths gives
+    every configuration's cell (_cell_map)."""
+    if depth == 0:
+        tables = (np.zeros(q, dtype=np.intp), np.arange(q),
+                  np.ones(q, dtype=np.intp),
+                  np.arange(q, dtype=np.int32).reshape(q, 1))
+    else:
+        tree = build_tree(k, depth)
+        check_enumeration(tree, q)
+        inner_mono, inner_group, inner_counts, _ = _enum_tables(k, depth - 1, q)
+        n = tree.n_vertices
+        n_parents = len(sphere(tree, depth - 1))
+        n_kids = len(sphere(tree, depth)) // n_parents
+        # match[b, d]: the digits of a block b of n_kids siblings equal to d
+        eye = np.eye(q, dtype=np.int32)
+        match = np.zeros((1, q), dtype=np.int32)
+        for _ in range(n_kids):
+            match = (eye[:, None] + match).reshape(-1, q)
+        # key i * n + mono of cell (i, mono): the boundary digits i are one
+        # block of children per parent, parent 0's least significant, and
+        # parent u's digit in inner cell c is digit u of its group; each
+        # block adds its equal edges and its share of i * n, one more
+        # significant block at a time (int32 holds every key: the guard
+        # keeps rows * n below 24 * ENUMERATION_GUARD)
+        n_blocks = len(match)
+        split = inner_mono.astype(np.int32)[None, :]
+        rest = inner_group
+        for _ in range(n_parents):
+            rest, digit = np.divmod(rest, q)
+            # np.take keeps term, and so split, C-contiguous
+            term = np.take(match, digit, axis=1)
+            term += np.arange(0, n_blocks * len(split) * n, len(split) * n,
+                              dtype=np.int32)[:, None]
+            split = (term[:, None, :] + split).reshape(-1, split.shape[1])
+        rows, width = split.shape
+        # cell (i, mono) holds the configurations of every inner cell it
+        # receives.  A slab of rows holds the keys from its first row's on,
+        # so it counts into its own slice; _SLICE / 8 keys a slab keep the
+        # weights at 128 KB, as a weight array per key cost small shapes
+        # more in first-touch page faults than the factoring saves them.
+        # Float weights add integers below 2**53 exactly
+        slab = min(rows, max(1, _SLICE // 8 // width))
+        weights = np.tile(inner_counts.astype(float), slab)
+        counts = np.empty(rows * n)
+        for i in range(0, rows, slab):
+            part = split[i:i + slab] - i * n
+            counts[i * n:(i + len(part)) * n] = np.bincount(
+                part.ravel(), weights[:part.size], minlength=len(part) * n)
+        occupied = np.flatnonzero(counts)
+        to_cell = np.zeros(rows * n, dtype=np.int32)
+        to_cell[occupied] = np.arange(len(occupied), dtype=np.int32)
+        for i in range(0, rows, slab):  # each key becomes its cell index
+            split[i:i + slab] = np.take(to_cell, split[i:i + slab])
+        cell_group, cell_mono = np.divmod(occupied, n)
+        tables = (cell_mono, cell_group, counts[occupied].astype(np.intp),
+                  split)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -300,24 +342,43 @@ def _repeat_sum(w: np.ndarray, counts: np.ndarray) -> float:
     row as a pairwise tree (see _pairwise_sum), and any node of that tree
     is np.sum of its subrange, so this splits the terms where numpy splits
     them until a part holds at most _SLICE, and sums each part so."""
-    n = int(counts.sum())
-    if n <= _SLICE:
-        return float(np.repeat(w, counts).sum())
-    half = n // 2
-    half -= half % 8
-    # term ``half`` opens the right part; entry c holds it
     ends = np.cumsum(counts)
-    c = int(np.searchsorted(ends, half, side="right"))
-    left, right = counts[:c + 1].copy(), counts[c:].copy()
-    left[-1] -= ends[c] - half
-    right[0] = ends[c] - half
-    return _repeat_sum(w[:c + 1], left) + _repeat_sum(w[c:], right)
+    return _repeat_sum_part(w, counts, ends, 0, int(ends[-1]))
+
+
+def _repeat_sum_part(w, counts, ends, lo: int, hi: int) -> float:
+    """The node of _repeat_sum's tree over terms lo..hi-1; ``ends`` is
+    np.cumsum(counts), taken once for the whole tree."""
+    n = hi - lo
+    if n > _SLICE:
+        half = n // 2
+        half -= half % 8
+        return (_repeat_sum_part(w, counts, ends, lo, lo + half)
+                + _repeat_sum_part(w, counts, ends, lo + half, hi))
+    # entries a and b hold the first and the last term
+    a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
+    runs = counts[a:b + 1].copy()
+    runs[0] = ends[a] - lo
+    runs[-1] -= ends[b] - hi
+    return float(np.repeat(w[a:b + 1], runs).sum())
+
+
+def _cell_map(k: int, depth: int, q: int) -> np.ndarray:
+    """Every configuration's cell in _enum_tables(k, depth, q), in base-q
+    index order: composed from the cached split tables as cell_d =
+    split_d[:, cell_{d-1}].ravel(), from the empty ball's one
+    configuration.  The q**N-long map is not cached."""
+    cell = np.zeros(1, dtype=np.intp)
+    for d in range(depth + 1):
+        # np.take keeps the (rows, columns) result C-contiguous
+        cell = np.take(_enum_tables(k, d, q)[3], cell, axis=1).ravel()
+    return cell
 
 
 def _cell_probs(tree: FiniteTree, boundary_fields, params: ModelParams):
-    """The measure as its per-cell probabilities w / z and the cached
-    configuration-to-cell map: configuration i has probability p[cell[i]].
-    Validates as finite_volume_measure does."""
+    """The measure as its per-cell probabilities w / z: a configuration in
+    cell c of _enum_tables has probability p[c].  Validates as
+    finite_volume_measure does."""
     _check_k(tree, params)
     q = params.q
     boundary = sphere(tree, tree.depth)
@@ -328,13 +389,14 @@ def _cell_probs(tree: FiniteTree, boundary_fields, params: ModelParams):
     if not np.isfinite(H).all():
         raise ValueError("boundary field components must be finite")
 
-    cell_mono, cell_group, counts, cell = _enum_tables(tree.k, tree.depth, q)
+    cell_mono, cell_group, counts, _ = _enum_tables(tree.k, tree.depth, q)
 
     # weight table over the boundary digits alone, one digit at a time
+    full = np.zeros((len(boundary), q))  # gauge component 0 for state q
+    full[:, :-1] = H
     table = np.zeros(1)
-    for j in range(len(boundary)):
-        full = np.append(H[j], 0.0)  # gauge component for state q
-        table = (full[:, None] + table).reshape(-1)
+    for row in full:
+        table = (row[:, None] + table).reshape(-1)
 
     # one weight per cell: every configuration in a cell gets these bits
     logw = math.log(params.theta) * cell_mono + table[cell_group]
@@ -346,7 +408,7 @@ def _cell_probs(tree: FiniteTree, boundary_fields, params: ModelParams):
     # give them, so the sum is stable and independent of the cell layout
     order = np.argsort(w)
     z = _repeat_sum(w[order], counts[order])
-    return w / z, cell
+    return w / z
 
 
 def finite_volume_measure(tree: FiniteTree, boundary_fields,
@@ -359,8 +421,8 @@ def finite_volume_measure(tree: FiniteTree, boundary_fields,
     sum to 1.  The partition sum z adds every configuration's weight in
     ascending order, and each probability is its cell's w / z.
     """
-    p, cell = _cell_probs(tree, boundary_fields, params)
-    probs = p[cell]
+    p = _cell_probs(tree, boundary_fields, params)
+    probs = p[_cell_map(tree.k, tree.depth, params.q)]
     probs.setflags(write=False)
     return probs
 
@@ -376,10 +438,14 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
     Only the W_n and W_{n-1} rows of ``fields`` enter the two measures;
     deeper interior values are irrelevant to this check.
 
-    The outer measure is never formed: its marginal is gathered from the
-    per-cell probabilities one slab of rows at a time, and the rows are
-    added in turn, the order finite_volume_measure(...).reshape(-1,
-    block).sum(axis=0) adds them, so the result has the same bits.
+    Neither measure is formed.  An inner configuration j's marginal adds,
+    over the boundary digits i, the probabilities of the cells
+    split[i, cell(j)], so it is one sum per inner cell: column c of split
+    gathered from the per-cell probabilities one slab of rows at a time,
+    the rows added in turn.  That is the order
+    finite_volume_measure(...).reshape(-1, block).sum(axis=0) adds each
+    column of the same terms in, so the result has the same bits, and the
+    max over inner cells is the max over inner configurations.
     """
     _check_k(tree, params)
     if tree.depth < 1:
@@ -392,22 +458,21 @@ def check_consistency(tree: FiniteTree, fields, params: ModelParams) -> float:
 
     outer = sphere(tree, tree.depth)
     inner = sphere(tree, tree.depth - 1)
-    p, cell = _cell_probs(tree, F[outer.start:outer.stop], params)
-
+    p = _cell_probs(tree, F[outer.start:outer.stop], params)
     sub = build_tree(tree.k, tree.depth - 1)
-    mu_prev = finite_volume_measure(sub, F[inner.start:inner.stop], params)
+    p_prev = _cell_probs(sub, F[inner.start:inner.stop], params)
 
-    block = q**sub.n_vertices
-    rows = cell.reshape(-1, block)
-    slab = min(len(rows), max(1, _SLICE // block))
+    split = _enum_tables(tree.k, tree.depth, q)[3]
+    width = split.shape[1]
+    slab = min(len(split), max(1, _SLICE // width))
     # slot 0 carries the sum of the rows before the slab into its sum
-    buf = np.empty((slab + 1, block))
-    marginal = np.zeros(block)
-    for i in range(0, len(rows), slab):
-        chunk = rows[i:i + slab]
+    buf = np.empty((slab + 1, width))
+    marginal = np.zeros(width)
+    for i in range(0, len(split), slab):
+        chunk = split[i:i + slab]
         part = buf[:1 + len(chunk)]
         part[0] = marginal
         # every index is a cell; mode "clip" skips the buffered bounds check
         np.take(p, chunk, out=part[1:], mode="clip")
         part.sum(axis=0, out=marginal)
-    return float(np.max(np.abs(marginal - mu_prev)))
+    return float(np.max(np.abs(marginal - p_prev)))

@@ -126,7 +126,9 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
 class ScanRow:
     """The roots of h at one activity: the result of ``find_h_roots`` and
     one row of a sweep.  theta_cr and the orbit pairs are worked out from
-    k and the roots, never passed in."""
+    k and the roots, never passed in.  A row holds only what a solver
+    makes: an activity 0 < theta < 1 and finite, positive, strictly
+    ascending roots."""
 
     k: int
     theta: float
@@ -137,6 +139,12 @@ class ScanRow:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_cr", theta_cr(self.k))
+        if not 0.0 < self.theta < 1.0:  # nan fails too
+            raise ValueError(f"activity must lie in (0, 1), got {self.theta!r}")
+        if not (all(0.0 < x < math.inf for x in self.roots)
+                and all(a < b for a, b in zip(self.roots, self.roots[1:]))):
+            raise ValueError(f"roots must be finite, positive and ascending, "
+                             f"got {self.roots!r}")
         object.__setattr__(self, "pairs",
                            _pair_roots(self.roots, self.theta, self.k))
 

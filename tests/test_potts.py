@@ -10,9 +10,10 @@ import pytest
 
 from cayley_potts.potts import (_SLICE, ENUMERATION_GUARD,
                                 EnumerationLimitError, ModelParams,
-                                _enum_tables, _repeat_sum, check_consistency,
-                                config_at, config_index, f_map,
-                                finite_volume_measure, propagate_fields)
+                                _cell_map, _enum_tables, _repeat_sum,
+                                check_consistency, config_at, config_index,
+                                f_map, finite_volume_measure,
+                                propagate_fields)
 from cayley_potts.period2 import period2_map
 from cayley_potts.tree import build_tree, edges, sphere
 from helpers import (bfs_oracle, consistency_whole, enum_tables_whole,
@@ -350,10 +351,38 @@ def test_measure_bit_identical_to_naive_enumeration(k, q, n, theta):
 @pytest.mark.parametrize("k,depth,q", [(2, 3, 2), (2, 2, 4)])
 def test_measure_tables_match_whole_array_rebuild(k, depth, q):
     # 2^22 and 4^10 configurations: past what the naive enumeration reaches
-    sliced, whole = _enum_tables(k, depth, q), enum_tables_whole(k, depth, q)
-    assert len(sliced[3]) == q ** build_tree(k, depth).n_vertices
-    for a, b in zip(sliced, whole):
+    *cells, split = _enum_tables(k, depth, q)
+    *whole_cells, whole_map = enum_tables_whole(k, depth, q)
+    for a, b in zip(cells, whole_cells):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    # one row per boundary configuration, one column per inner cell
+    n_boundary = len(sphere(build_tree(k, depth), depth))
+    assert split.shape == (q**n_boundary, len(_enum_tables(k, depth - 1, q)[0]))
+    assert split.dtype == np.int32 and split.flags.c_contiguous
+    cell = _cell_map(k, depth, q)
+    assert cell.dtype == whole_map.dtype and np.array_equal(cell, whole_map)
+
+
+# perfbench's oracle shapes (k, q, n)
+ORACLE_SHAPES = [(2, 3, 2), (3, 2, 2), (2, 4, 2), (2, 2, 3)]
+
+
+def test_enum_tables_cache_holds_the_oracle_traffic():
+    def check_each_shape():
+        for k, q, n in ORACLE_SHAPES:
+            tree = build_tree(k, n)
+            params = ModelParams.from_theta(k, q, 0.5)
+            leaf = np.zeros((len(sphere(tree, n)), q - 1))
+            check_consistency(tree, propagate_fields(tree, leaf, params),
+                              params)
+
+    _enum_tables.cache_clear()
+    check_each_shape()
+    info = _enum_tables.cache_info()
+    # every depth of each shape down to 0, and no more than fits
+    assert info.currsize == info.maxsize == sum(n + 1 for *_, n in ORACLE_SHAPES)
+    check_each_shape()
+    assert _enum_tables.cache_info().misses == info.misses
 
 
 @pytest.mark.parametrize("total", [1, 7, 8, 128, 129, _SLICE - 1, _SLICE,
@@ -511,7 +540,8 @@ def test_consistency_theta_one_decouples():
 
 
 @pytest.mark.parametrize("k,q,n", [(2, 3, 2), (3, 2, 2), (2, 4, 2),
-                                   (2, 2, 3), (2, 3, 1)])
+                                   (2, 2, 3), (2, 3, 1), (1, 2, 7),
+                                   (2, 5, 1), (3, 3, 1)])
 @pytest.mark.parametrize("perturb", [0.0, 0.3])
 def test_consistency_bit_identical_to_full_marginal(k, q, n, perturb):
     tree = build_tree(k, n)

@@ -176,6 +176,20 @@ def test_scan_row_works_out_its_fields():
             ScanRow(k=3, theta=0.1, roots=report.roots, flags=(), **extra)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_scan_row_refuses_an_activity_no_solver_takes(theta):
+    with pytest.raises(ValueError, match="activity must lie in"):
+        ScanRow(k=3, theta=theta, roots=(1.0,), flags=())
+
+
+@pytest.mark.parametrize("roots", [(0.5, math.inf), (math.nan, 1.0),
+                                   (0.0, 1.0), (-0.5, 1.0), (1.0, 0.5),
+                                   (1.0, 1.0)])
+def test_scan_row_refuses_roots_no_solver_makes(roots):
+    with pytest.raises(ValueError, match="finite, positive and ascending"):
+        ScanRow(k=3, theta=0.1, roots=roots, flags=())
+
+
 def test_csv_error_row_renders_empty_fields():
     row = ScanRow(k=3, theta=0.5, roots=(), flags=("error:ArithmeticError",))
     buf = io.StringIO()
@@ -209,6 +223,11 @@ def test_parse_rejects_malformed_input():
     for line in ("3,0.1,0.9,1,,1,,", "3,0.1,0.25,1,,7,,",
                  "3,0.1,0.25,1,,1,,"):
         with pytest.raises(ValueError, match="does not write back"):
+            parse_csv(io.StringIO(CSV_HEADER + "\n" + line + "\n"))
+    # rows no solver makes: an infinite root, an activity of nan
+    for line, rule in (("3,0.10000000000000001,0.25,2,0.5,,inf,", "roots"),
+                       ("3,nan,0.25,1,,1,,", "activity")):
+        with pytest.raises(ValueError, match=rule + " must"):
             parse_csv(io.StringIO(CSV_HEADER + "\n" + line + "\n"))
 
 
