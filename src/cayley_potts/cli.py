@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from ._args import activity, check_int
@@ -281,7 +281,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         code, message = 2, f"numerical failure: {exc}"
     if created:  # a failed command leaves no new file behind
-        Path(args.out).unlink(missing_ok=True)
+        try:
+            os.remove(args.out)
+        except FileNotFoundError:
+            pass
     print(message, file=sys.stderr)
     return code
 

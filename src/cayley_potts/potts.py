@@ -45,13 +45,11 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from ._args import activity, check_int, check_theta_k
+from ._args import Record, check_int, check_theta_k
 from .tree import FiniteTree, build_tree, sphere
 
 # hard ceiling on q**|V_n| for exhaustive enumeration
@@ -70,57 +68,25 @@ class EnumerationLimitError(ValueError):
     """State space too large for the exhaustive oracle."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Model constants: tree order k, number of states q and the activity
     theta, the only form in which the coupling J and the inverse
-    temperature beta enter the measures (theta = exp(J*beta)).
+    temperature beta enter the measures (theta = exp(J*beta)).  Kept as
+    the plain int k, int q and float theta they were checked as.
 
     theta < 1 is the antiferromagnetic regime (J < 0), theta > 1
     ferromagnetic.
     """
 
-    k: int
-    q: int
-    theta: float
+    __slots__ = _fields = ("k", "q", "theta")
 
-    def __post_init__(self):
-        check_theta_k(self.theta, self.k)
-        check_int("q", self.q, 2)
-
-    @classmethod
-    def from_coupling(cls, k: int, q: int, J: float, beta: float) -> "ModelParams":
-        """Fold the coupling into the activity theta = exp(J*beta)."""
-        return cls(k=k, q=q, theta=activity(J, beta))
+    def __init__(self, k: int, q: int, theta: float):
+        theta, k = check_theta_k(theta, k)
+        self._set(k, check_int("q", q, 2), theta)
 
     @classmethod
     def from_theta(cls, k: int, q: int, theta: float) -> "ModelParams":
-        return cls(k=k, q=q, theta=float(theta))
-
-    @property
-    def antiferromagnetic(self) -> bool:
-        return self.theta < 1.0
-
-
-def config_index(spins: Sequence[int], q: int) -> int:
-    """Base-q encoding of a configuration, vertex 0 least significant."""
-    idx = 0
-    for v, s in enumerate(spins):
-        if not 1 <= s <= q:
-            raise ValueError(f"spin state {s} at vertex {v} outside 1..{q}")
-        idx += (s - 1) * q**v
-    return idx
-
-
-def config_at(index: int, n_vertices: int, q: int) -> tuple[int, ...]:
-    """Inverse of config_index: the spins, state 1..q per vertex."""
-    if not 0 <= index < q**n_vertices:
-        raise ValueError(f"configuration index {index} out of range")
-    spins = []
-    for _ in range(n_vertices):
-        index, digit = divmod(index, q)
-        spins.append(digit + 1)
-    return tuple(spins)
+        return cls(k=k, q=q, theta=theta)
 
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
@@ -417,9 +383,10 @@ def finite_volume_measure(tree: FiniteTree, boundary_fields,
 
     boundary_fields: (|W_n|, q-1) array, one row per depth-n vertex in
     ascending index order.  Returns the read-only probabilities of all
-    q**N configurations, indexed by config_index; they are positive and
-    sum to 1.  The partition sum z adds every configuration's weight in
-    ascending order, and each probability is its cell's w / z.
+    q**N configurations, indexed by the base-q encoding with vertex 0's
+    state-1 the least significant digit; they are positive and sum to 1.
+    The partition sum z adds every configuration's weight in ascending
+    order, and each probability is its cell's w / z.
     """
     p = _cell_probs(tree, boundary_fields, params)
     probs = p[_cell_map(tree.k, tree.depth, params.q)]

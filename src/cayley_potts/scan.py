@@ -15,8 +15,7 @@ and goes through one writer.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import os
 
 from ._args import check_int
 from .period2 import domain_bounds, h_scalar, theta_cr
@@ -76,10 +75,12 @@ def _row_fields(row: ScanRow) -> list[str]:
 
 
 def write_text(destination, text: str) -> None:
-    """Write ASCII text to a path, or to a text or binary stream."""
+    """Write ASCII text to a path (a str or any os.PathLike), or to a text
+    or binary stream."""
     data = text.encode("ascii")
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_bytes(data)
+    if isinstance(destination, (str, os.PathLike)):
+        with open(destination, "wb") as f:
+            f.write(data)
         return
     write = getattr(destination, "write", None)
     if write is None:
@@ -96,6 +97,8 @@ def _csv_text(rows) -> str:
 
 
 def _json_text(rows) -> str:
+    import json  # only --format json pays for it
+
     payload = [{"k": r.k, "theta": r.theta, "theta_cr": r.theta_cr,
                 "count": r.count, "roots": list(r.roots),
                 "pairs": [list(p) for p in r.pairs],
@@ -119,6 +122,8 @@ def _kind(x: float) -> str:
 
 
 def _report_json(row: ScanRow) -> str:
+    import json  # only --format json pays for it
+
     t1, t2 = domain_bounds(row.theta, row.k)
     payload = {
         "k": row.k, "theta": row.theta, "theta_cr": row.theta_cr,
@@ -174,7 +179,8 @@ def emit_csv(rows, destination) -> None:
 
 
 def parse_csv(source) -> list[ScanRow]:
-    """Rebuild rows from emit_csv output.
+    """Rebuild rows from emit_csv output, read from a path (a str or any
+    os.PathLike) or a text or binary stream.
 
     Each row is built from its k, theta, root columns and flags, and a line
     is accepted only if that row writes it back: theta_cr must be
@@ -184,8 +190,9 @@ def parse_csv(source) -> list[ScanRow]:
     row pairs its roots by the solver's own rule, so a solver row
     round-trips exactly.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="ascii")
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="ascii") as f:
+            text = f.read()
     else:
         text = source.read()
         if isinstance(text, bytes):
@@ -209,7 +216,7 @@ def parse_csv(source) -> list[ScanRow]:
                 else:
                     flags.append(flag)
             row = ScanRow(k=int(k), theta=float(theta),
-                          roots=tuple(sorted(roots)), flags=tuple(flags))
+                          roots=sorted(roots), flags=flags)
         except OverflowError:
             # f(x0) = (...)^k past the float range: no solver row holds
             # such a root, since find_h_roots paired the same floats

@@ -29,10 +29,9 @@ subcommand does that in the loop that prints each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
-from ._args import check_theta_k
+from ._args import Record, check_theta_k
 from .period2 import DomainError, domain_bounds, f_scalar, h_scalar, theta_cr
 
 # relative margin pulled inside (theta_1, theta_2) before scanning
@@ -122,31 +121,28 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Record):
     """The roots of h at one activity: the result of ``find_h_roots`` and
     one row of a sweep.  theta_cr and the orbit pairs are worked out from
     k and the roots, never passed in.  A row holds only what a solver
     makes: an activity 0 < theta < 1 and finite, positive, strictly
-    ascending roots."""
+    ascending roots.  It keeps a plain int k and float theta, and tuples,
+    so it hashes like any immutable value."""
 
-    k: int
-    theta: float
-    theta_cr: float = field(init=False)
-    roots: tuple[float, ...]                 # ascending
-    pairs: tuple[tuple[float, float], ...] = field(init=False)
-    flags: tuple[str, ...]
+    __slots__ = _fields = ("k", "theta", "theta_cr", "roots", "pairs",
+                           "flags")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_cr", theta_cr(self.k))
-        if not 0.0 < self.theta < 1.0:  # nan fails too
-            raise ValueError(f"activity must lie in (0, 1), got {self.theta!r}")
-        if not (all(0.0 < x < math.inf for x in self.roots)
-                and all(a < b for a, b in zip(self.roots, self.roots[1:]))):
+    def __init__(self, k: int, theta: float, roots, flags):
+        t_cr = theta_cr(k)  # validates k
+        if not 0.0 < theta < 1.0:  # nan fails too
+            raise ValueError(f"activity must lie in (0, 1), got {theta!r}")
+        if not (all(0.0 < x < math.inf for x in roots)
+                and all(a < b for a, b in zip(roots, roots[1:]))):
             raise ValueError(f"roots must be finite, positive and ascending, "
-                             f"got {self.roots!r}")
-        object.__setattr__(self, "pairs",
-                           _pair_roots(self.roots, self.theta, self.k))
+                             f"got {roots!r}")
+        k, theta, roots = int(k), float(theta), tuple(roots)
+        self._set(k, theta, t_cr, roots, _pair_roots(roots, theta, k),
+                  tuple(flags))
 
     @property
     def count(self) -> int:
@@ -255,8 +251,8 @@ def find_h_roots(theta: float, k: int) -> ScanRow:
     if near_degenerate:
         flags.append("near-degenerate")
 
-    return ScanRow(k=k, theta=theta, roots=tuple(root for root, _ in merged),
-                   flags=tuple(flags))
+    return ScanRow(k=k, theta=theta, roots=[root for root, _ in merged],
+                   flags=flags)
 
 
 def _pair_roots(roots: tuple[float, ...], theta: float,

@@ -21,9 +21,7 @@ Everything here is integer arithmetic, so the module imports no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._args import check_int
+from ._args import Record, check_int
 
 # size guard; trees beyond this are refused outright
 MAX_VERTICES = 1 << 26
@@ -47,24 +45,21 @@ def sphere_size(k: int, m: int) -> int:
     return (k + 1) * k ** (m - 1)
 
 
-@dataclass(frozen=True)
-class FiniteTree:
+class FiniteTree(Record):
     """Radius-``depth`` ball of the order-``k`` Cayley tree, BFS-indexed:
     plain ints k >= 1 and depth >= 0, at most MAX_VERTICES vertices."""
 
-    k: int
-    depth: int
+    __slots__ = _fields = ("k", "depth")
 
-    def __post_init__(self):
-        k = check_int("tree order k", self.k, 1)
-        n = check_int("tree depth n", self.depth, 0)
+    def __init__(self, k: int, depth: int):
+        k = check_int("tree order k", k, 1)
+        n = check_int("tree depth n", depth, 0)
         total = ball_size(k, n)
         if total > MAX_VERTICES:
             raise TreeSizeError(
                 f"tree with k={k}, n={n} needs {total} vertices, "
                 f"above the guard of {MAX_VERTICES}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "depth", n)
+        self._set(k, n)
 
     @property
     def n_vertices(self) -> int:

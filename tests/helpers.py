@@ -6,20 +6,54 @@ needs: the inverse g, the slope h', the polynomial p that controls the sign
 of h' and p's Descartes bound.  g and h' compute g's two factors and the
 domain test with their own copy, not ``period2.h_scalar``'s, so they do
 not share the kernel they check.  It also holds an exact certificate for
-a reported two-cycle root, and the enumeration oracle's tables and
+a reported two-cycle root, the enumeration oracle's tables and
 consistency check as whole-array expressions, which the package computes
-in slices.
+in slices, and the conveniences only the tests use: the base-q encoding
+of a configuration and its inverse, ``ModelParams`` from a coupling, and
+the antiferromagnetic test on it.
 """
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
-from cayley_potts._args import check_theta_k
+from cayley_potts._args import activity, check_theta_k
 from cayley_potts.period2 import DomainError, theta_cr
-from cayley_potts.potts import finite_volume_measure
+from cayley_potts.potts import ModelParams, finite_volume_measure
 from cayley_potts.tree import FiniteTree, build_tree, edges, sphere
+
+
+def from_coupling(k: int, q: int, J: float, beta: float) -> ModelParams:
+    """Fold the coupling into the activity theta = exp(J*beta)."""
+    return ModelParams(k=k, q=q, theta=activity(J, beta))
+
+
+def antiferromagnetic(params: ModelParams) -> bool:
+    """theta < 1, that is J < 0."""
+    return params.theta < 1.0
+
+
+def config_index(spins: Sequence[int], q: int) -> int:
+    """Base-q encoding of a configuration, vertex 0 least significant."""
+    idx = 0
+    for v, s in enumerate(spins):
+        if not 1 <= s <= q:
+            raise ValueError(f"spin state {s} at vertex {v} outside 1..{q}")
+        idx += (s - 1) * q**v
+    return idx
+
+
+def config_at(index: int, n_vertices: int, q: int) -> tuple[int, ...]:
+    """Inverse of config_index: the spins, state 1..q per vertex."""
+    if not 0 <= index < q**n_vertices:
+        raise ValueError(f"configuration index {index} out of range")
+    spins = []
+    for _ in range(n_vertices):
+        index, digit = divmod(index, q)
+        spins.append(digit + 1)
+    return tuple(spins)
 
 
 def _g_factors(x: float, theta: float, k: int) -> tuple[float, float, float]:

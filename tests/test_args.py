@@ -1,4 +1,8 @@
-"""One integer rule at every entry point that takes k, n, q or a count."""
+"""One integer rule at every entry point that takes k, n, q or a count,
+and the immutable base every record shares."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from cayley_potts.period2 import (domain_bounds, f_scalar, h_scalar,
                                   period2_map, theta_cr)
 from cayley_potts.potts import ModelParams
 from cayley_potts.scan import scan_theta
+from cayley_potts.solver import ScanRow, find_h_roots
 from cayley_potts.tree import FiniteTree, build_tree
 
 # each takes one integer argument, and 3 is a valid value for all of them
@@ -33,3 +38,72 @@ def test_integer_arguments_refuse_bool_and_float(call):
         with pytest.raises(ValueError, match="must be an integer"):
             call(value)
     assert call(np.int64(3)) == call(3)
+
+
+# --------------------------------------------------------------- records
+
+# each record's constructor, its arguments, and the repr a frozen
+# dataclass gave it
+RECORDS = {
+    "FiniteTree": (FiniteTree, (2, 3), "FiniteTree(k=2, depth=3)"),
+    "ModelParams": (ModelParams, (3, 3, 0.5),
+                    "ModelParams(k=3, q=3, theta=0.5)"),
+    "ScanRow": (ScanRow, (3, 0.1, find_h_roots(0.1, 3).roots, ()),
+                "ScanRow(k=3, theta=0.1, theta_cr=0.25, "
+                "roots=(0.19649931210530613, 1.0, 15.01147958065304), "
+                "pairs=((0.19649931210530613, 15.01147958065304),), "
+                "flags=())"),
+}
+
+
+@pytest.fixture(params=RECORDS.values(), ids=RECORDS)
+def record_case(request):
+    return request.param
+
+
+def test_record_repr_is_pinned(record_case):
+    cls, args, text = record_case
+    assert repr(cls(*args)) == text
+
+
+def test_records_are_equal_only_within_their_class(record_case):
+    cls, args, _ = record_case
+    record = cls(*args)
+    lookalike = type("Lookalike", (cls,), {"__slots__": ()})(*args)
+    assert record == cls(*args)
+    assert record != lookalike and lookalike != record
+    assert record != tuple(getattr(record, f) for f in cls._fields)
+    assert all(record != other(*a)
+               for other, a, _ in RECORDS.values() if other is not cls)
+
+
+def test_equal_records_hash_alike(record_case):
+    cls, args, _ = record_case
+    assert hash(cls(*args)) == hash(cls(*args))
+    assert len({cls(*args), cls(*args)}) == 1
+
+
+def test_records_refuse_set_and_delete(record_case):
+    cls, args, _ = record_case
+    record = cls(*args)
+    for name in cls._fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == value
+    with pytest.raises(AttributeError):
+        record.extra = 7
+
+
+def test_records_copy_deepcopy_and_pickle(record_case):
+    cls, args, text = record_case
+    record = cls(*args)
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is cls
+        assert other == record and repr(other) == text
+

@@ -77,6 +77,38 @@ def test_scalar_layers_load_without_numpy():
     assert done.returncode == 0, done.stderr.decode()
 
 
+def test_cli_starts_without_heavy_stdlib_modules():
+    # what importing the CLI and running its math-only subcommands loads
+    # beyond what was there before: a site hook may preload some of these,
+    # so only modules new since the import count
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "from cayley_potts.cli import main",
+        f"out = ['--out', {os.devnull!r}]",
+        "for argv in (['roots', '--k', '3', '--theta', '0.1'],",
+        "             ['roots', '--k', '3', '--theta', '0.1',",
+        "              '--format', 'csv'],",
+        "             ['scan', '--k', '3', '--theta', '0.1:0.4:3'],",
+        "             ['scan', '--k', '3', '--theta', '0.1:0.4:3',",
+        "              '--format', 'csv'],",
+        "             ['orbit', '--k', '3', '--theta', '0.1'],",
+        "             ['tree-check', '--k', '3', '--n', '2']):",
+        "    assert main(argv + out) == 0, argv",
+        "assert main(['roots', '--k', '2', '--theta', '0.1']) == 1",
+        "loaded = set(sys.modules) - before",
+        "heavy = {'dataclasses', 'inspect', 'json', 'typing', 'pathlib',",
+        "         'numpy'} & loaded",
+        "assert not heavy, sorted(heavy)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # the runtime dependency is numpy alone: every import in the package is
     # relative, from the standard library, or numpy, so nothing reaches

@@ -1,6 +1,5 @@
 """Potts Hamiltonian, field recursion, and the exact measure oracle."""
 
-import dataclasses
 import gc
 import math
 import warnings
@@ -11,13 +10,13 @@ import pytest
 from cayley_potts.potts import (_SLICE, ENUMERATION_GUARD,
                                 EnumerationLimitError, ModelParams,
                                 _cell_map, _enum_tables, _repeat_sum,
-                                check_consistency, config_at, config_index,
-                                f_map, finite_volume_measure,
-                                propagate_fields)
+                                check_consistency, f_map,
+                                finite_volume_measure, propagate_fields)
 from cayley_potts.period2 import period2_map
 from cayley_potts.tree import build_tree, edges, sphere
-from helpers import (bfs_oracle, consistency_whole, enum_tables_whole,
-                     f_map_rowwise, hamiltonian)
+from helpers import (antiferromagnetic, bfs_oracle, config_at, config_index,
+                     consistency_whole, enum_tables_whole, f_map_rowwise,
+                     from_coupling, hamiltonian)
 
 LN2 = math.log(2.0)
 
@@ -49,18 +48,21 @@ def measure_oracle(tree, boundary_fields, params):
 
 
 def test_params_from_coupling():
-    p = ModelParams.from_coupling(2, 3, -1.0, 1.0)
+    p = from_coupling(2, 3, -1.0, 1.0)
     assert p.theta == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert p.antiferromagnetic
+    assert antiferromagnetic(p)
 
 
 def test_params_from_theta():
     p = ModelParams.from_theta(2, 3, 0.5)
     # the measures see the coupling only through theta, so nothing else is kept
-    assert [f.name for f in dataclasses.fields(p)] == ["k", "q", "theta"]
+    assert p._fields == ("k", "q", "theta")
     assert p.theta == 0.5
-    assert p.antiferromagnetic
-    assert not ModelParams.from_theta(2, 3, 1.7).antiferromagnetic
+    with pytest.raises(AttributeError):
+        p.theta = 0.25
+    assert p.theta == 0.5
+    assert antiferromagnetic(p)
+    assert not antiferromagnetic(ModelParams.from_theta(2, 3, 1.7))
 
 
 def test_params_validation():
@@ -69,21 +71,37 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams.from_theta(0, 3, 0.5)
     with pytest.raises(ValueError):
-        ModelParams.from_coupling(2, 3, -1.0, 0.0)
+        from_coupling(2, 3, -1.0, 0.0)
     with pytest.raises(ValueError):
         ModelParams.from_theta(2, 3, -0.5)
     # exp(J*beta) beyond the doubles, or a non-finite J, is bad input
     for J, beta in ((1000.0, 1.0), (-1000.0, 1.0), (1e308, 10.0),
                     (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(ValueError, match="J"):
-            ModelParams.from_coupling(2, 3, J, beta)
+            from_coupling(2, 3, J, beta)
     # a bool is an int to Python, but not a tree order or a state count
     with pytest.raises(ValueError, match="k must be"):
         ModelParams(True, 3, 0.5)
     with pytest.raises(ValueError, match="q must be"):
         ModelParams.from_theta(2, True, 0.5)
     with pytest.raises(ValueError, match="k must be"):
-        ModelParams.from_coupling(False, 3, -1.0, 1.0)
+        from_coupling(False, 3, -1.0, 1.0)
+
+
+def test_params_keep_the_plain_values_they_checked():
+    # numpy scalars and an int theta are checked, then kept as int, int,
+    # float; math.log sees the same value, so f_map's bits do not move
+    numpy_params = ModelParams(np.int64(3), np.int64(3), np.float64(0.5))
+    int_theta = ModelParams(3, 3, 1)
+    assert repr(numpy_params) == "ModelParams(k=3, q=3, theta=0.5)"
+    assert repr(int_theta) == "ModelParams(k=3, q=3, theta=1.0)"
+    for p in (numpy_params, int_theta):
+        assert [type(v) for v in (p.k, p.q, p.theta)] == [int, int, float]
+    h = np.array([[LN2, 0.0], [-1.5, 0.25]])
+    assert np.array_equal(f_map(h, numpy_params),
+                          f_map(h, ModelParams(3, 3, 0.5)))
+    assert np.array_equal(f_map(h, int_theta),
+                          f_map(h, ModelParams(3, 3, 1.0)))
 
 
 # ---------------------------------------------------------- configurations
@@ -277,7 +295,7 @@ def test_f_map_bit_identical_to_rowwise_oracle(q):
 def test_measure_path_uniform():
     # k=1, depth 1 is a 3-vertex path; theta=1 and zero fields: uniform
     tree = build_tree(1, 1)
-    params = ModelParams.from_coupling(1, 2, 0.0, 1.0)
+    params = from_coupling(1, 2, 0.0, 1.0)
     probs = finite_volume_measure(tree, np.zeros((2, 1)), params)
     assert len(probs) == 8
     assert np.max(np.abs(probs - 0.125)) <= 1e-15

@@ -176,6 +176,19 @@ def test_scan_row_works_out_its_fields():
             ScanRow(k=3, theta=0.1, roots=report.roots, flags=(), **extra)
 
 
+def test_scan_row_keeps_plain_values_and_hashes():
+    # numpy scalars for k and theta, and lists, are kept as a plain int,
+    # a float and tuples, so the row hashes
+    row = ScanRow(k=np.int64(3), theta=np.float64(0.1), roots=[1.0],
+                  flags=[])
+    assert repr(row) == ("ScanRow(k=3, theta=0.1, theta_cr=0.25, "
+                         "roots=(1.0,), pairs=(), flags=())")
+    assert [type(v) for v in (row.k, row.theta, row.roots, row.flags)] == [
+        int, float, tuple, tuple]
+    plain = ScanRow(k=3, theta=0.1, roots=[1.0], flags=[])
+    assert row == plain and hash(row) == hash(plain)
+
+
 @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, -0.1, math.nan])
 def test_scan_row_refuses_an_activity_no_solver_takes(theta):
     with pytest.raises(ValueError, match="activity must lie in"):
@@ -229,6 +242,30 @@ def test_parse_rejects_malformed_input():
                        ("3,nan,0.25,1,,1,,", "activity")):
         with pytest.raises(ValueError, match=rule + " must"):
             parse_csv(io.StringIO(CSV_HEADER + "\n" + line + "\n"))
+
+
+class FsPath:
+    """An os.PathLike that is not a pathlib.Path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+def test_write_text_and_parse_csv_take_any_pathlike(tmp_path):
+    rows = scan_theta(3, 0.1, 0.2, 2)
+    target = FsPath(str(tmp_path / "rows.csv"))
+    assert not isinstance(target, Path)
+    emit_csv(rows, target)
+    buf = io.StringIO()
+    emit_csv(rows, buf)
+    assert (tmp_path / "rows.csv").read_text(encoding="ascii") \
+        == buf.getvalue()
+    assert parse_csv(target) == rows
+    write_text(target, "replaced\n")
+    assert (tmp_path / "rows.csv").read_bytes() == b"replaced\n"
 
 
 def test_17g_is_lossless():

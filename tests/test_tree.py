@@ -1,7 +1,5 @@
 """Finite rooted Cayley-tree construction and level structure."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -151,9 +149,10 @@ def test_build_tree_size_guard():
 def test_tree_is_immutable():
     tree = build_tree(2, 2)
     # nothing per vertex: the tree is its order and depth
-    assert [f.name for f in dataclasses.fields(tree)] == ["k", "depth"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert tree._fields == ("k", "depth")
+    with pytest.raises(AttributeError):
         tree.k = 4
+    assert tree.k == 2
     assert isinstance(tree, FiniteTree)
 
 
