@@ -12,8 +12,7 @@ import importlib
 
 _EXPORTS = {
     "tree": ("FiniteTree", "TreeSizeError", "MAX_VERTICES", "ball_size",
-             "build_tree", "children", "edges", "level_sizes", "sphere",
-             "sphere_size"),
+             "build_tree", "level_sizes", "sphere", "sphere_size"),
     "potts": ("ENUMERATION_GUARD", "EnumerationLimitError", "ModelParams",
               "check_consistency", "f_map", "finite_volume_measure",
               "propagate_fields"),

@@ -15,11 +15,15 @@ and copy, deepcopy and pickle by field values.
 Plain ``math``, so no numpy import."""
 
 import math
-from numbers import Integral
 
 
 def is_integer(value) -> bool:
-    """An int or a numpy integer (both are ``Integral``), never a bool."""
+    """An int or a numpy integer (both are ``Integral``), never a bool.
+    ``numbers`` loads only off the plain-int path: a numpy integer exists
+    only once numpy, which imports ``numbers``, has been imported."""
+    if type(value) is int:
+        return True
+    from numbers import Integral
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 

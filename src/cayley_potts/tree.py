@@ -7,14 +7,12 @@ as children and every other internal vertex has k children, so that degrees
 match the infinite tree everywhere except on the depth-n boundary.
 
 Vertices carry dense integer indices in breadth-first order, so the whole
-structure is plain arithmetic on (k, n) and nothing is stored per vertex:
-
-* the ball of radius m < n occupies the index prefix 0 .. ball_size(k,m)-1,
-  and generation m is the index range that ends there,
-* the root's children are 1 .. k+1 and every other vertex v has the
-  children k*v+2 .. k*v+k+1, so generation m+1 lists the children of
-  generation m parent by parent; the parent of v >= 1 is 0 for v <= k+1
-  and (v-2)//k otherwise.
+structure is plain arithmetic on (k, n) and nothing is stored per vertex.
+Generation m is the index range that ends at ball_size(k, m), and
+generation m+1 lists the children of generation m parent by parent: k+1
+for the root and k for every other parent.  Its j-th vertex is thus the
+child of vertex j // width of generation m, width being k+1 at m = 0 and
+k after; the field recursion and the enumeration tables rely on this.
 
 Everything here is integer arithmetic, so the module imports no numpy.
 """
@@ -77,24 +75,6 @@ def sphere(tree: FiniteTree, m: int) -> range:
         raise ValueError(f"generation {m} outside 0..{tree.depth}")
     stop = ball_size(tree.k, m)
     return range(stop - sphere_size(tree.k, m), stop)
-
-
-def children(tree: FiniteTree, x: int) -> tuple:
-    """Child indices of vertex x (empty for depth-n leaves)."""
-    if not 0 <= x < tree.n_vertices:
-        raise ValueError(f"vertex {x} outside 0..{tree.n_vertices - 1}")
-    first, width = (1, tree.k + 1) if x == 0 else (tree.k * x + 2, tree.k)
-    # a depth-n leaf's children would start at ball_size(k, n) or beyond
-    if first >= tree.n_vertices:
-        return ()
-    return tuple(range(first, first + width))
-
-
-def edges(tree: FiniteTree) -> list[tuple[int, int]]:
-    """All (parent, child) pairs; a radius-n ball has |V_n| - 1 of them."""
-    k = tree.k
-    return [(0 if v <= k + 1 else (v - 2) // k, v)
-            for v in range(1, tree.n_vertices)]
 
 
 def level_sizes(tree: FiniteTree) -> list[int]:

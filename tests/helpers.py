@@ -22,7 +22,7 @@ import numpy as np
 from cayley_potts._args import activity, check_theta_k
 from cayley_potts.period2 import DomainError, theta_cr
 from cayley_potts.potts import ModelParams, finite_volume_measure
-from cayley_potts.tree import FiniteTree, build_tree, edges, sphere
+from cayley_potts.tree import FiniteTree, build_tree, sphere
 
 
 def from_coupling(k: int, q: int, J: float, beta: float) -> ModelParams:
@@ -225,13 +225,14 @@ def hamiltonian(tree: FiniteTree, spins, q: int, J: float) -> float:
 
 def enum_tables_whole(k: int, depth: int, q: int):
     """potts._enum_tables with every q**N array formed at once: the same
-    digit patterns, then one np.bincount over all keys and one gather of
-    every cell index."""
+    digit patterns, with each edge's parent taken from bfs_oracle, then
+    one np.bincount over all keys and one gather of every cell index."""
     tree = build_tree(k, depth)
     n = tree.n_vertices
     eye = np.eye(q, dtype=np.int8).reshape(q, 1, q, 1)
     mono = np.zeros(q, dtype=np.int8)
-    for p, v in edges(tree):
+    parent, _ = bfs_oracle(k, depth)
+    for v, p in enumerate(parent[1:], start=1):
         mono = (mono.reshape(1, q ** (v - 1 - p), q, q**p) + eye).reshape(-1)
     n_groups = q ** len(sphere(tree, depth))
     key = (mono.reshape(n_groups, -1)

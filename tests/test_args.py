@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from cayley_potts._args import is_integer
 from cayley_potts.period2 import (domain_bounds, f_scalar, h_scalar,
                                   period2_map, theta_cr)
 from cayley_potts.potts import ModelParams
@@ -38,6 +39,16 @@ def test_integer_arguments_refuse_bool_and_float(call):
         with pytest.raises(ValueError, match="must be an integer"):
             call(value)
     assert call(np.int64(3)) == call(3)
+
+
+def test_is_integer_accepts_ints_and_numpy_integers_but_no_bool():
+    class Count(int):
+        pass
+
+    for value in (3, -1, Count(3), np.int8(3), np.int64(3), np.uint64(3)):
+        assert is_integer(value), repr(value)
+    for value in (True, np.bool_(True), 3.0, np.float64(3.0), "3", None):
+        assert not is_integer(value), repr(value)
 
 
 # --------------------------------------------------------------- records

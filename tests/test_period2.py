@@ -157,6 +157,8 @@ def test_sign_relations_regime_guard():
         sign_relation_check(z, z, 1.0)
     with pytest.raises(ValueError):
         sign_relation_check(z, z, -0.2)
+    with pytest.raises(ValueError, match="must have 4 components"):
+        sign_relation_check(z[:3], z, 0.5)
 
 
 # ---------------------------------------------------------------- scalars
@@ -166,6 +168,12 @@ def test_f_fixes_one():
     for theta in (0.05, 0.3, 0.9, 2.0):
         for k in (1, 3, 7):
             assert f_scalar(1.0, theta, k) == 1.0
+
+
+def test_f_refuses_zero_and_infinite_x():
+    for x in (0.0, math.inf):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            f_scalar(x, 0.1, 3)
 
 
 def test_f_large_x_limit():

@@ -13,7 +13,7 @@ from cayley_potts.potts import (_SLICE, ENUMERATION_GUARD,
                                 check_consistency, f_map,
                                 finite_volume_measure, propagate_fields)
 from cayley_potts.period2 import period2_map
-from cayley_potts.tree import build_tree, edges, sphere
+from cayley_potts.tree import build_tree, sphere
 from helpers import (antiferromagnetic, bfs_oracle, config_at, config_index,
                      consistency_whole, enum_tables_whole, f_map_rowwise,
                      from_coupling, hamiltonian)
@@ -141,10 +141,12 @@ def test_hamiltonian_proper_coloring():
 
 def test_hamiltonian_random_vs_edge_scan():
     tree = build_tree(2, 2)
+    parent, _ = bfs_oracle(tree.k, tree.depth)
     rng = np.random.default_rng(11)
     for _ in range(25):
         spins = rng.integers(1, 4, size=tree.n_vertices)
-        mono = sum(1 for x, y in edges(tree) if spins[x] == spins[y])
+        mono = sum(1 for v in range(1, tree.n_vertices)
+                   if spins[parent[v]] == spins[v])
         assert hamiltonian(tree, spins, 3, J=-0.5) == pytest.approx(
             0.5 * mono, abs=1e-15)
 
@@ -201,6 +203,24 @@ def test_f_map_fields_more_than_dbl_max_apart_do_not_warn():
         out = f_map(h, params)
         assert np.array_equal(f_map(h[0], params), expected[0])
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 17])
+def test_f_map_output_is_bounded_by_log_theta(q):
+    # num and den differ term by term by a factor theta or 1/theta, so
+    # |f_map(h)_i| <= |ln theta| for every finite h: no output can be
+    # non-finite, down to fields of +-DBL_MAX and theta at either end
+    dbl_max = np.finfo(float).max
+    values = [dbl_max, -dbl_max, 1e308, -1e308, 0.0, -0.0, 1e-300, 5e-324,
+              700.0, -745.0, 1.0]
+    rng = np.random.default_rng(q)
+    stack = rng.choice(values, size=(400, q - 1))
+    for theta in (5e-324, 1e-300, 1e-5, 0.3, 1.0, 3.7, 1e5, 1e300, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = f_map(stack, ModelParams.from_theta(2, q, theta))
+        assert np.isfinite(out).all()
+        assert np.abs(out).max() <= abs(math.log(theta)) + 1e-12
 
 
 def test_f_map_validation():
@@ -464,6 +484,19 @@ def test_measure_validation():
         finite_volume_measure(tree, np.full((3, 2), np.inf), params)
 
 
+def test_overflowing_boundary_weights_raise_not_warn():
+    # three boundary fields of 1e308 sum past DBL_MAX: the named error,
+    # not numpy's overflow warning, reaches the caller
+    tree = build_tree(2, 1)
+    params = ModelParams.from_theta(2, 3, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite configuration weight"):
+            finite_volume_measure(tree, np.full((3, 2), 1e308), params)
+        with pytest.raises(ValueError, match="non-finite configuration weight"):
+            check_consistency(tree, np.full((4, 2), 1e308), params)
+
+
 # ------------------------------------------------------------- propagate
 
 
@@ -510,6 +543,10 @@ def test_propagate_validation():
     params = ModelParams.from_theta(2, 3, 0.5)
     with pytest.raises(ValueError):
         propagate_fields(tree, np.zeros((5, 2)), params)
+    # a depth-0 tree runs no f_map, so this check alone refuses the NaN
+    with pytest.raises(ValueError, match="leaf field components must be "
+                                         "finite"):
+        propagate_fields(build_tree(2, 0), [[np.nan, 0.0]], params)
 
 
 def test_params_k_must_match_the_tree():

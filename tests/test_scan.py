@@ -219,6 +219,11 @@ def test_emit_rejects_empty():
         write_text(io.StringIO(), render_rows([], "json"))
 
 
+def test_write_text_refuses_a_destination_without_write():
+    with pytest.raises(ValueError, match="cannot write to destination"):
+        write_text(object(), "x")
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_csv(io.StringIO("wrong,header\n"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cayley_potts.tree import (MAX_VERTICES, FiniteTree, TreeSizeError,
-                               ball_size, build_tree, children, edges,
-                               level_sizes, sphere, sphere_size)
+                               ball_size, build_tree, level_sizes, sphere,
+                               sphere_size)
 from helpers import bfs_oracle
 
 
@@ -26,7 +26,7 @@ def test_ball_and_sphere_sizes():
 def test_build_tree_root_only():
     tree = build_tree(2, 0)
     assert tree.n_vertices == 1
-    assert edges(tree) == []
+    assert list(sphere(tree, 0)) == [0]
     assert level_sizes(tree) == [1]
 
 
@@ -42,47 +42,39 @@ def test_build_tree_counts():
 @pytest.mark.parametrize("k,n", [(1, 4), (2, 3), (3, 2), (5, 2)])
 def test_build_tree_matches_bfs_oracle(k, n):
     tree = build_tree(k, n)
-    parent, generation = bfs_oracle(k, n)
-    assert edges(tree) == [(p, v) for v, p in enumerate(parent) if v > 0]
+    _, generation = bfs_oracle(k, n)
     assert [m for m in range(n + 1) for _ in sphere(tree, m)] == generation
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (4, 2)])
 def test_structural_invariants(k, n):
     tree = build_tree(k, n)
-    parent, generation = bfs_oracle(k, n)
+    _, generation = bfs_oracle(k, n)
     sizes = level_sizes(tree)
     assert sizes[0] == 1
     for m in range(1, n + 1):
         assert sizes[m] == (k + 1) * k ** (m - 1)
     assert sum(sizes) == tree.n_vertices
-    # child widths: k+1 at the root, k at internal vertices, 0 at leaves
-    for v in range(tree.n_vertices):
-        width = len(children(tree, v))
-        if v == 0:
-            assert width == k + 1
-        elif generation[v] < n:
-            assert width == k
-        else:
-            assert width == 0
-        assert children(tree, v) == tuple(
-            u for u in range(tree.n_vertices) if parent[u] == v)
-    for x, y in edges(tree):
-        assert generation[y] == generation[x] + 1
-    assert len(edges(tree)) == tree.n_vertices - 1
-    # connectivity: every vertex walks up its edges to the root
-    up = {y: x for x, y in edges(tree)}
-    for v in range(tree.n_vertices):
-        steps = 0
-        while v != 0:
-            v = up[v]
-            steps += 1
-            assert steps <= n
     # vertices within one generation are contiguous and ascending
     for m in range(n + 1):
         sp = sphere(tree, m)
         assert list(sp) == sorted(sp)
         assert all(generation[v] == m for v in sp)
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 3), (3, 2), (4, 2), (5, 2)])
+def test_sphere_lists_children_parent_by_parent(k, n):
+    # the layout propagate_fields' reshape and the enumeration tables'
+    # blocks rely on: vertex j of generation m+1 is a child of vertex
+    # j // width of generation m, width being k+1 at the root and k after
+    tree = build_tree(k, n)
+    parent, _ = bfs_oracle(k, n)
+    for m in range(n):
+        width = k + 1 if m == 0 else k
+        parents, kids = sphere(tree, m), sphere(tree, m + 1)
+        assert len(kids) == width * len(parents)
+        for j, v in enumerate(kids):
+            assert parent[v] == parents[j // width]
 
 
 def test_sphere_examples():
@@ -98,24 +90,6 @@ def test_sphere_range_errors():
         sphere(tree, -1)
     with pytest.raises(ValueError):
         sphere(tree, 3)
-
-
-def test_children_examples():
-    tree = build_tree(2, 1)
-    assert len(children(tree, 0)) == 3
-    for leaf in sphere(tree, 1):
-        assert children(tree, int(leaf)) == ()
-    tree = build_tree(3, 2)
-    inner = int(sphere(tree, 1)[0])
-    assert len(children(tree, inner)) == 3
-
-
-def test_children_bad_index():
-    tree = build_tree(2, 1)
-    with pytest.raises(ValueError):
-        children(tree, -1)
-    with pytest.raises(ValueError):
-        children(tree, tree.n_vertices)
 
 
 def test_build_tree_rejects_bad_args():
@@ -154,14 +128,6 @@ def test_tree_is_immutable():
         tree.k = 4
     assert tree.k == 2
     assert isinstance(tree, FiniteTree)
-
-
-def test_edges_are_parent_child_pairs():
-    tree = build_tree(2, 2)
-    parent, generation = bfs_oracle(2, 2)
-    for x, y in edges(tree):
-        assert parent[y] == x
-        assert abs(generation[x] - generation[y]) == 1
 
 
 def test_level_sizes_partition():
