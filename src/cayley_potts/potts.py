@@ -27,6 +27,10 @@ of a generation of N vertices as one log-sum-exp over a (q, q, N) block
 each sum in numpy's pairwise order, so its output is bit-identical to a
 row-by-row log-sum-exp.  The bits matter: the ``verify`` violations in the
 README are rounding differences near 1e-17, which another order can change.
+propagate_fields stores the fields component-major, one contiguous row of
+n_vertices per component, so a generation is a run of columns and each
+parent's children sit side by side; the children are added in turn, child
+0 + child 1 and then each further one, whole rows at a time, for every q.
 
 Conventions
 -----------
@@ -129,11 +133,14 @@ def f_map(h, params: ModelParams) -> np.ndarray:
 
     with the sums over j = 1..q-1.  ``h`` is one field vector of shape
     (q-1,) or a stack of N of them of shape (N, q-1); the map acts on the
-    last axis, row by row, into a new C-contiguous array of that shape.
-    Both sums are of positive exponentials and are taken in log space, so
-    no NaN can appear silently; non-finite inputs raise.  Term by term the
-    two sums differ by a factor theta or 1/theta, so every output lies
-    within |ln theta| of 0 and is finite.
+    last axis, row by row, into a new array of that shape that follows the
+    input's memory order: a C-contiguous input gives a C-contiguous output,
+    and the transpose of a (q-1, N) array with contiguous rows (as
+    propagate_fields passes) an F-contiguous one.  Both sums are of
+    positive exponentials and are taken in log space, so no NaN can appear
+    silently; non-finite inputs raise.  Term by term the two sums differ by
+    a factor theta or 1/theta, so every output lies within |ln theta| of 0
+    and is finite.
 
     All q sums form one batched log-sum-exp over a (q, q, N) block whose
     row ``block[j, s]`` is term j of sum s.  Sum i < q-1 is numerator i
@@ -182,8 +189,10 @@ def _check_k(tree: FiniteTree, params: ModelParams) -> None:
 def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.ndarray:
     """Fill fields on every vertex from given depth-n leaf fields.
 
-    Each internal vertex x gets the sum of f_map over its children; leaves
-    keep their inputs.  Returns an (n_vertices, q-1) array.
+    Each internal vertex x gets the sum of f_map over its children, added
+    in turn; leaves keep their inputs.  Returns an (n_vertices, q-1) array,
+    row v vertex v's field, as an F-contiguous view: the fields are stored
+    component-major, a (q-1, n_vertices) array whose .T is returned.
     """
     _check_k(tree, params)
     q = params.q
@@ -195,17 +204,21 @@ def propagate_fields(tree: FiniteTree, leaf_fields, params: ModelParams) -> np.n
     if not np.isfinite(leaf).all():
         raise ValueError("leaf field components must be finite")
 
-    fields = np.empty((tree.n_vertices, q - 1))
-    fields[leaves.start:leaves.stop] = leaf
+    # column v is vertex v's field: a generation is a run of columns, and
     # sphere m+1 lists the children of sphere m parent by parent, so one
-    # reshape groups each parent's siblings; a sphere is a contiguous
-    # index range, so its rows are a slice (a view, not a gathered copy)
+    # reshape of the mapped rows groups each parent's siblings.  f_map
+    # keeps its input's memory order, so mapped is C-contiguous
+    cols = np.empty((q - 1, tree.n_vertices))
+    cols[:, leaves.start:leaves.stop] = leaf.T
     for m in range(tree.depth - 1, -1, -1):
         parents, kids = sphere(tree, m), sphere(tree, m + 1)
-        mapped = f_map(fields[kids.start:kids.stop], params)
-        fields[parents.start:parents.stop] = mapped.reshape(
-            len(parents), -1, q - 1).sum(axis=1)
-    return fields
+        mapped = f_map(cols[:, kids.start:kids.stop].T, params).T
+        child = mapped.reshape(q - 1, len(parents), -1)
+        total = cols[:, parents.start:parents.stop]
+        total[...] = child[:, :, 0]
+        for j in range(1, child.shape[2]):
+            total += child[:, :, j]
+    return cols.T
 
 
 def check_enumeration(tree: FiniteTree, q: int) -> None:

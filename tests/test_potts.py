@@ -140,15 +140,18 @@ def test_hamiltonian_proper_coloring():
 
 
 def test_hamiltonian_random_vs_edge_scan():
-    tree = build_tree(2, 2)
-    parent, _ = bfs_oracle(tree.k, tree.depth)
+    # the helper reads its parents from bfs_oracle; the package's
+    # enumeration tables count each configuration's monochromatic edges
+    # from the tree's breadth-first offsets
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        spins = rng.integers(1, 4, size=tree.n_vertices)
-        mono = sum(1 for v in range(1, tree.n_vertices)
-                   if spins[parent[v]] == spins[v])
-        assert hamiltonian(tree, spins, 3, J=-0.5) == pytest.approx(
-            0.5 * mono, abs=1e-15)
+    for k, q, n in ((2, 3, 2), (3, 2, 2)):
+        tree = build_tree(k, n)
+        cell_mono = _enum_tables(k, n, q)[0]
+        cell = _cell_map(k, n, q)
+        for _ in range(50):
+            spins = rng.integers(1, q + 1, size=tree.n_vertices)
+            mono = cell_mono[cell[config_index(spins, q)]]
+            assert hamiltonian(tree, spins, q, J=-0.5) == 0.5 * mono
 
 
 def test_hamiltonian_errors():
@@ -516,10 +519,13 @@ def test_propagate_equal_leaves_root_triple():
     assert np.array_equal(fields[1], h0)
 
 
-# k >= 8 gives every parent 8 or more children to add
+# children are added in turn for every q: k >= 7 gives the root 8 or more
+# children and k >= 8 every parent, which for q = 2 (one component per
+# child) numpy's pairwise sum over the children would add in another order
 @pytest.mark.parametrize("k,q,n", [(2, 3, 2), (1, 3, 5), (3, 3, 4),
                                    (2, 5, 3), (3, 2, 3), (9, 3, 2),
-                                   (9, 10, 2), (16, 4, 2)])
+                                   (9, 10, 2), (16, 4, 2), (7, 2, 1),
+                                   (8, 2, 2), (16, 2, 2)])
 def test_propagate_matches_handrolled_recursion(k, q, n):
     tree = build_tree(k, n)
     params = ModelParams.from_theta(k, q, 0.8)
@@ -536,6 +542,29 @@ def test_propagate_matches_handrolled_recursion(k, q, n):
             expected[v] = sum(f_map(expected[u], params) for u in kids)
     for v in range(tree.n_vertices):
         assert np.array_equal(fields[v], expected[v])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_propagate_calls_f_map_once_per_generation(monkeypatch, k, n):
+    # the benchmark's traced run wraps the module global f_map, as here,
+    # so the recursion must reach its one call per generation through it
+    rows = []
+
+    def counting(h, params):
+        rows.append(len(h))
+        return f_map(h, params)
+
+    monkeypatch.setattr("cayley_potts.potts.f_map", counting)
+    tree = build_tree(k, n)
+    params = ModelParams.from_theta(k, 3, 0.8)
+    leaf = np.random.default_rng(5).uniform(-2, 2, (len(sphere(tree, n)), 2))
+    fields = propagate_fields(tree, leaf, params)
+    assert rows == [len(sphere(tree, m)) for m in range(n, 0, -1)]
+    # stored component-major: each component is one contiguous row, so
+    # the children are summed as whole rows and not by a strided reduction
+    assert fields.shape == (tree.n_vertices, 2)
+    assert fields.T.flags.c_contiguous
 
 
 def test_propagate_validation():

@@ -400,6 +400,29 @@ def test_iterate_generic_start_reaches_a_two_cycle(capsys):
     assert abs(limit[0] - limit[1]) > 1.0            # and far from I
 
 
+def test_golden_orbit_limit_off_the_set_is_not_a_period2_law():
+    # the README's limit off I is fixed by the double step P(P(z)) but not
+    # by P, so it is a 2-cycle of P and not a period-2 law: one step of P
+    # moves it to the cycle's other point
+    out = (DATA / "orbit_k3_theta0.1_z2_1_1_3.txt").read_text(encoding="utf-8")
+    limit = np.asarray(limit_z(out))
+    once = np.asarray(period2_map(limit, THETA, K))
+    twice = np.asarray(period2_map(once, THETA, K))
+    assert np.allclose(once, (1.0, 0.0666, 0.0666, 1.0), atol=1e-4)
+    assert np.max(np.abs(once - limit)) > 1.0
+    assert np.max(np.abs(twice - limit)) <= 1e-8
+
+
+def test_readme_law_off_the_invariant_set_is_fixed_by_period2_map():
+    # a period-2 law the package does not find: its even weights (z1, z2,
+    # 1) are all distinct, so it lies off I and off I's relabelled images
+    z = (5.46729044459761, 11.9520420532825, 0.457435676700626,
+         0.0836677109687179)
+    assert len({z[0], z[1], 1.0}) == 3
+    once = period2_map(z, THETA, K)
+    assert max(abs(a / b - 1.0) for a, b in zip(once, z)) <= 1e-13
+
+
 def test_iterate_non_convergence_is_reported(capsys):
     rng = np.random.default_rng(0)
     z0 = np.exp(rng.uniform(-1.5, 1.5, 4))
