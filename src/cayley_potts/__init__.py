@@ -14,8 +14,7 @@ _EXPORTS = {
     "tree": ("FiniteTree", "TreeSizeError", "MAX_VERTICES", "ball_size",
              "build_tree", "level_sizes", "sphere", "sphere_size"),
     "potts": ("ENUMERATION_GUARD", "EnumerationLimitError", "ModelParams",
-              "check_consistency", "f_map", "finite_volume_measure",
-              "propagate_fields"),
+              "check_consistency", "f_map", "propagate_fields"),
     "period2": ("DomainError", "domain_bounds", "f_scalar", "h_scalar",
                 "period2_map", "sign_relation_check", "theta_cr"),
     "solver": ("ScanRow", "find_h_roots"),

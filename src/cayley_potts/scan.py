@@ -1,16 +1,17 @@
 """Activity sweeps and every output format of ``roots`` and ``scan``.
 
 There is one result record, ``ScanRow``: ``find_h_roots`` returns one and
-a sweep is a list of them.  Text, CSV and JSON all render here; a ``roots``
-report is one row, and its CSV is a one-row scan.  The report's extra
-fields (the domain, each root's residual and kind) are recomputed from the
-row by the same calls the solver makes, so they match it bit for bit.
+a sweep is a list of them.  Text, CSV and JSON all render here.  One
+function builds a row's JSON object: a sweep's JSON is a list of them, and
+a ``roots`` report is one of them with the domain (theta_1, theta_2) and
+each root's residual and kind added, which its text prints.  Those extras
+are recomputed from the row by the same calls the solver makes, so they
+match it bit for bit.  A report's CSV is a one-row scan.
 
 The CSV has a fixed 8-column schema with 17-significant-digit decimals, so
 a file round-trips to the exact same floats, and ``parse_csv`` reads back
-only lines ``emit_csv`` would write; the JSON mirrors its field names with
-full root lists.  Output is ASCII, deterministic byte for byte,
-and goes through one writer.
+only lines ``emit_csv`` would write.  Output is ASCII, deterministic byte
+for byte, and goes through one writer.
 """
 
 from __future__ import annotations
@@ -91,85 +92,73 @@ def write_text(destination, text: str) -> None:
         write(text)
 
 
-def _csv_text(rows) -> str:
-    lines = [CSV_HEADER] + [",".join(_row_fields(r)) for r in rows]
-    return "\n".join(lines) + "\n"
+def _payload(row: ScanRow, report: bool = False) -> dict:
+    """The JSON object of a row.  A ``roots`` report adds the domain and,
+    per root, its residual |h(x)| and kind; the solver injects the fixed
+    point as exactly 1.0, so that value alone is translation-invariant."""
+    payload = {"k": row.k, "theta": row.theta, "theta_cr": row.theta_cr}
+    roots = list(row.roots)
+    if report:
+        payload["theta_1"], payload["theta_2"] = domain_bounds(row.theta,
+                                                               row.k)
+        roots = [{"x": x, "residual": abs(h_scalar(x, row.theta, row.k)),
+                  "kind": ("translation-invariant" if x == 1.0
+                           else "period-2")} for x in roots]
+    payload.update(count=row.count, roots=roots,
+                   pairs=[list(p) for p in row.pairs], flags=list(row.flags))
+    return payload
 
 
-def _json_text(rows) -> str:
+def _json(payload) -> str:
     import json  # only --format json pays for it
 
-    payload = [{"k": r.k, "theta": r.theta, "theta_cr": r.theta_cr,
-                "count": r.count, "roots": list(r.roots),
-                "pairs": [list(p) for p in r.pairs],
-                "flags": list(r.flags)} for r in rows]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _rows_text(rows) -> str:
-    lines = [f"{'k':>3} {'theta':>20} {'count':>5}  roots / flags"]
-    for r in rows:
-        roots = "  ".join(f"{x:.12g}" for x in r.roots) or "-"
-        flags = (" [" + ";".join(r.flags) + "]") if r.flags else ""
-        lines.append(f"{r.k:>3} {r.theta:>20.17g} {r.count:>5}  "
-                     f"{roots}{flags}")
-    return "\n".join(lines) + "\n"
-
-
-def _kind(x: float) -> str:
-    # the solver injects the fixed point as exactly 1.0
-    return "translation-invariant" if x == 1.0 else "period-2"
-
-
-def _report_json(row: ScanRow) -> str:
-    import json  # only --format json pays for it
-
-    t1, t2 = domain_bounds(row.theta, row.k)
-    payload = {
-        "k": row.k, "theta": row.theta, "theta_cr": row.theta_cr,
-        "theta_1": t1, "theta_2": t2,
-        "count": row.count,
-        "roots": [{"x": x, "residual": abs(h_scalar(x, row.theta, row.k)),
-                   "kind": _kind(x)} for x in row.roots],
-        "pairs": [list(p) for p in row.pairs],
-        "flags": list(row.flags),
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _report_text(row: ScanRow) -> str:
-    t1, t2 = domain_bounds(row.theta, row.k)
-    n_ti = row.roots.count(1.0)
-    lines = [
-        f"k={row.k}  theta={row.theta:.12g}  theta_cr={row.theta_cr:.12g}",
-        f"domain: ({t1:.12g}, {t2:.12g})",
-        f"count={row.count}: {n_ti} translation-invariant + "
-        f"{row.count - n_ti} period-2",
-    ]
-    for x in row.roots:
-        residual = abs(h_scalar(x, row.theta, row.k))
-        lines.append(f"  x = {x:<22.17g} |h(x)| = {residual:<12.3e} "
-                     f"{_kind(x)}")
-    for x0, x2 in row.pairs:
-        lines.append(f"orbit pair: f({x0:.12g}) = {x2:.12g}")
-    lines.append("flags: " + (";".join(row.flags) if row.flags
-                              else "(none)"))
-    return "\n".join(lines) + "\n"
 
 
 def render_rows(rows, fmt: str) -> str:
     """Sweep rows in one of FORMATS."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     if not rows:
         raise ValueError("no rows to emit")
-    render = {"text": _rows_text, "csv": _csv_text, "json": _json_text}[fmt]
-    return render(rows)
+    if fmt == "json":
+        return _json([_payload(r) for r in rows])
+    if fmt == "csv":
+        lines = [CSV_HEADER] + [",".join(_row_fields(r)) for r in rows]
+    else:
+        lines = [f"{'k':>3} {'theta':>20} {'count':>5}  roots / flags"]
+        for r in rows:
+            roots = "  ".join(f"{x:.12g}" for x in r.roots) or "-"
+            flags = (" [" + ";".join(r.flags) + "]") if r.flags else ""
+            lines.append(f"{r.k:>3} {r.theta:>20.17g} {r.count:>5}  "
+                         f"{roots}{flags}")
+    return "\n".join(lines) + "\n"
 
 
 def render_report(row: ScanRow, fmt: str) -> str:
-    """One activity's roots in one of FORMATS; the CSV is a one-row scan."""
+    """One activity's roots in one of FORMATS; the CSV is a one-row scan,
+    and the text prints the JSON object's fields."""
     if fmt == "csv":
         return render_rows([row], "csv")
-    return {"text": _report_text, "json": _report_json}[fmt](row)
+    payload = _payload(row, report=True)
+    if fmt == "json":
+        return _json(payload)
+    if fmt != "text":
+        raise ValueError(f"unknown format {fmt!r}")
+    roots = payload["roots"]
+    n_ti = sum(r["kind"] == "translation-invariant" for r in roots)
+    lines = [
+        f"k={row.k}  theta={row.theta:.12g}  theta_cr={row.theta_cr:.12g}",
+        f"domain: ({payload['theta_1']:.12g}, {payload['theta_2']:.12g})",
+        f"count={row.count}: {n_ti} translation-invariant + "
+        f"{row.count - n_ti} period-2",
+    ]
+    lines += [f"  x = {r['x']:<22.17g} |h(x)| = {r['residual']:<12.3e} "
+              f"{r['kind']}" for r in roots]
+    lines += [f"orbit pair: f({x0:.12g}) = {x2:.12g}" for x0, x2 in row.pairs]
+    lines.append("flags: " + (";".join(row.flags) if row.flags
+                              else "(none)"))
+    return "\n".join(lines) + "\n"
 
 
 def emit_csv(rows, destination) -> None:

@@ -270,6 +270,15 @@ def test_scan_csv_matches_golden(capsys):
     assert out == GOLDEN.read_bytes().decode("ascii")
 
 
+def test_scan_json_matches_golden(capsys):
+    # key order and indentation too, not only the keys and values
+    code, out, _ = run(capsys, "scan", "--k", "3",
+                       "--theta", "0.1:0.4:3", "--format", "json")
+    assert code == 0
+    golden = GOLDEN.parent / "scan_k3_theta0.1_0.4_3.json"
+    assert out.encode("ascii") == golden.read_bytes()
+
+
 def test_scan_text_table(capsys):
     code, out, _ = run(capsys, "scan", "--k", "3", "--theta", "0.1:0.4:2")
     assert code == 0

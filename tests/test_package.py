@@ -16,7 +16,7 @@ SUBMODULES = (tree, potts, period2, solver, scan)
 
 
 def test_public_names_are_their_submodules_objects():
-    assert len(cayley_potts.__all__) == 29
+    assert len(cayley_potts.__all__) == 28
     assert cayley_potts.__all__[-1] == "__version__"
     for name in cayley_potts.__all__[:-1]:
         value = getattr(cayley_potts, name)

@@ -11,7 +11,8 @@ import pytest
 import cayley_potts.scan as scan_mod
 from cayley_potts.period2 import theta_cr
 from cayley_potts.scan import (CSV_HEADER, ScanRow, emit_csv, parse_csv,
-                               render_rows, scan_theta, write_text)
+                               render_report, render_rows, scan_theta,
+                               write_text)
 from cayley_potts.solver import bisect, find_h_roots
 
 GOLDEN = Path(__file__).parent / "data" / "scan_k3_golden.csv"
@@ -217,6 +218,14 @@ def test_emit_rejects_empty():
         emit_csv([], io.StringIO())
     with pytest.raises(ValueError):
         write_text(io.StringIO(), render_rows([], "json"))
+
+
+def test_render_rejects_an_unknown_format():
+    row = find_h_roots(0.1, 3)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_rows([row], "xml")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_report(row, "xml")
 
 
 def test_write_text_refuses_a_destination_without_write():

@@ -336,6 +336,76 @@ def test_find_h_roots_obeys_descartes_bound_just_below_theta_cr():
     assert find_h_roots(theta_cr(50) * (1 - 1e-10), 50).count <= 3
 
 
+# Item 2's acceptance: 10 k x 40 log-spaced theta from 1e-300 to
+# theta_cr (1 - 1e-6), each with the certificate's bar m: 64 ulps, or 4
+# kappa with kappa = 1/(2 gap) where gap = 1 - theta/theta_cr is below 1e-3
+ULP = 2.0 ** -52
+
+
+def _sweep():
+    for k in (3, 4, 5, 10, 20, 50, 100, 200, 400, 1000):
+        critical = (k - 2) / (k + 1)
+        for theta in np.geomspace(1e-300, critical * (1 - 1e-6), 40):
+            gap = 1.0 - theta / critical
+            kappa = 1.0 / (2.0 * gap)
+            yield k, float(theta), 64.0 if gap >= 1e-3 else 4.0 * kappa
+
+
+SWEEP = list(_sweep())
+
+
+def certified(x: float, theta: float, k: int, m: float,
+              shift: float = 0.0) -> bool:
+    """Whether a two-cycle root lies within m ulps of t = ln x, moved first
+    by ``shift`` ulps: r(e^(t-b)) > 0 > r(e^(t+b)) for r(x) = f(f(x)) - x
+    with b = m 2^-52 |t|, in mpmath at 80 digits with theta taken exactly
+    as its double.  Below theta_cr, r is positive just below each of x0
+    and x2 and negative just above; the referee uses no h, g or L."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        th = mpmath.mpf(theta)
+
+        def f(v):
+            return (((th + 1) * v + 1) / (2 * v + th)) ** k
+
+        def r(t):
+            return f(f(mpmath.exp(t))) - mpmath.exp(t)
+
+        t = mpmath.log(x) * (1 + shift * mpmath.mpf(ULP))
+        b = m * mpmath.mpf(ULP) * abs(t)
+        return r(t - b) > 0 > r(t + b)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_find_h_roots_certifies_the_pair_over_the_sweep():
+    # one test, not 400: today 29 cases pass, 10 miss the certificate at
+    # the gap of 1e-6, 4 give a wrong count or pair and 357 overflow
+    failures = Counter()
+    for k, theta, m in SWEEP:
+        try:
+            row = find_h_roots(theta, k)
+        except (ValueError, ArithmeticError) as exc:
+            failures[type(exc).__name__] += 1
+            continue
+        if row.count != 3 or row.roots[1] != 1.0 or len(row.pairs) != 1:
+            failures["count or pair"] += 1
+        elif not all(certified(x, theta, k, m) for x in row.pairs[0]):
+            failures["certificate"] += 1
+    assert not failures, dict(failures)
+
+
+@pytest.mark.parametrize("k, theta", [(3, 0.1), *[
+    (k, theta) for k, theta, _ in SWEEP[38:120:40]]])
+def test_certificate_fails_a_root_moved_by_four_bars(k, theta):
+    # roots the grid certifies today: the second-highest theta of the
+    # sweep at k = 3, 4 and 5 (gap near 1, bar 64 ulps)
+    ((x0, x2),) = find_h_roots(theta, k).pairs
+    for x in (x0, x2):
+        assert certified(x, theta, k, 64)
+        assert not certified(x, theta, k, 64, shift=4 * 64)
+        assert not certified(x, theta, k, 64, shift=-4 * 64)
+
+
 def test_find_h_roots_validation():
     with pytest.raises(ValueError):
         find_h_roots(1.0, 3)
@@ -421,6 +491,50 @@ def test_readme_law_off_the_invariant_set_is_fixed_by_period2_map():
     assert len({z[0], z[1], 1.0}) == 3
     once = period2_map(z, THETA, K)
     assert max(abs(a / b - 1.0) for a, b in zip(once, z)) <= 1e-13
+
+
+def test_readme_law_off_the_invariant_set_is_rebuilt_at_50_digits():
+    # Newton on P(z) = z at 50 digits, written from the map's formulas and
+    # started from the README's z; the double law must then be a fixed
+    # point of period2_map and of k f_map between the parities
+    mpmath = pytest.importorskip("mpmath")
+    readme_z = (5.46729044459761, 11.9520420532825, 0.457435676700626,
+                0.0836677109687179)
+    with mpmath.workdps(50):
+        th = mpmath.mpf(THETA)
+
+        def residual(z1, z2, z3, z4):
+            d34, d12 = z3 + z4 + th, z1 + z2 + th
+            return [((th * z3 + z4 + 1) / d34) ** K - z1,
+                    ((th * z4 + z3 + 1) / d34) ** K - z2,
+                    ((th * z1 + z2 + 1) / d12) ** K - z3,
+                    ((th * z2 + z1 + 1) / d12) ** K - z4]
+
+        exact = mpmath.findroot(residual, readme_z, solver="mdnewton")
+        assert max(abs(v) for v in residual(*exact)) <= mpmath.mpf(10) ** -45
+        law = [float(v) for v in exact]
+    assert max(abs(a / b - 1.0) for a, b in zip(law, readme_z)) <= 1e-14
+    assert len({law[0], law[1], 1.0}) == 3  # off I and off its images
+
+    params = ModelParams.from_theta(K, 3, THETA)
+
+    def misses(z):
+        """max |P(z) - z| in ulps of z, and max |k f_map(ln z_odd) -
+        ln z_even| with the parities the other way round too."""
+        ulps = max(abs(a - b) / math.ulp(b)
+                   for a, b in zip(period2_map(z, THETA, K), z))
+        ln_z = np.log(z)
+        step = np.concatenate([K * f_map(ln_z[2:], params),
+                               K * f_map(ln_z[:2], params)])
+        return ulps, np.max(np.abs(step - ln_z))
+
+    ulps, step = misses(law)
+    assert ulps <= 4 and step <= 1e-15
+    for i in range(4):
+        moved = list(law)
+        moved[i] *= 1 + 1e-9
+        ulps, step = misses(moved)
+        assert ulps > 1e6 and step > 1e-10, i
 
 
 def test_iterate_non_convergence_is_reported(capsys):
