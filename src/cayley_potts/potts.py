@@ -15,11 +15,14 @@ ascending order, in numpy's pairwise order.  The cell tables factor
 through the inner ball: a radius-n configuration's cell depends on its
 inner configuration only through that configuration's radius-(n-1) cell,
 so each depth's tables are built from the one below it and nothing
-q**|V|-long is cached.  check_consistency forms no q**|V|-long array at
-all: the partition sum walks numpy's pairwise tree down to slices of
-_SLICE weights, and the outer measure's marginal is one sum per inner
-cell, gathered from the per-cell probabilities slab by slab, so its bits
-are those of the whole-array sums.
+q**|V|-long is cached.  Each cached table is in the narrowest integer type
+that holds its values (uint16 cell indices up to 65,536 cells), except the
+per-cell configuration counts, which stay intp for the partition sum's
+arithmetic.  check_consistency forms no q**|V|-long array at all: the
+partition sum walks numpy's pairwise tree down to slices of _SLICE
+weights, and the outer measure's marginal is one sum per inner cell,
+gathered from the per-cell probabilities slab by slab, so its bits are
+those of the whole-array sums.
 
 The field recursion runs one generation at a time.  f_map takes all q sums
 of a generation of N vertices as one log-sum-exp over a (q, q, N) block
@@ -251,15 +254,23 @@ def _enum_tables(k: int, depth: int, q: int):
     the inner configuration.  Its mono count is mono(j) plus the edges
     from the boundary to equal parent digits, and the parent digits are
     j's group, so its cell depends on j only through j's cell c at depth
-    - 1: that cell is split[i, c] (int32, C-contiguous, one row per i).
+    - 1: that cell is split[i, c] (C-contiguous, one row per i).
     Depth 0 is the root alone: q cells of one configuration each, under
     one empty inner ball.  The tables are built from the depth - 1 ones,
     so no q**N array is formed; composing split over the depths gives
-    every configuration's cell (_cell_map)."""
+    every configuration's cell (_cell_map).
+
+    Each table is stored in the narrowest integer type that holds its
+    values: split in np.min_scalar_type(n_cells - 1) (uint16 up to 65,536
+    cells, uint32 past), the mono counts in uint8 (a ball under the guard
+    has at most 24 vertices) and the groups in np.min_scalar_type of
+    q**|W_depth| - 1.  The counts stay intp: _repeat_sum_part subtracts
+    from copies of them, which unsigned arithmetic would wrap."""
     if depth == 0:
-        tables = (np.zeros(q, dtype=np.intp), np.arange(q),
+        cell_type = np.min_scalar_type(q - 1)
+        tables = (np.zeros(q, dtype=np.uint8), np.arange(q, dtype=cell_type),
                   np.ones(q, dtype=np.intp),
-                  np.arange(q, dtype=np.int32).reshape(q, 1))
+                  np.arange(q, dtype=cell_type).reshape(q, 1))
     else:
         tree = build_tree(k, depth)
         check_enumeration(tree, q)
@@ -279,16 +290,16 @@ def _enum_tables(k: int, depth: int, q: int):
         # significant block at a time (int32 holds every key: the guard
         # keeps rows * n below 24 * ENUMERATION_GUARD)
         n_blocks = len(match)
-        split = inner_mono.astype(np.int32)[None, :]
+        keys = inner_mono.astype(np.int32)[None, :]
         rest = inner_group
         for _ in range(n_parents):
             rest, digit = np.divmod(rest, q)
-            # np.take keeps term, and so split, C-contiguous
+            # np.take keeps term, and so keys, C-contiguous
             term = np.take(match, digit, axis=1)
-            term += np.arange(0, n_blocks * len(split) * n, len(split) * n,
+            term += np.arange(0, n_blocks * len(keys) * n, len(keys) * n,
                               dtype=np.int32)[:, None]
-            split = (term[:, None, :] + split).reshape(-1, split.shape[1])
-        rows, width = split.shape
+            keys = (term[:, None, :] + keys).reshape(-1, keys.shape[1])
+        rows, width = keys.shape
         # cell (i, mono) holds the configurations of every inner cell it
         # receives.  A slab of rows holds the keys from its first row's on,
         # so it counts into its own slice; _SLICE / 8 keys a slab keep the
@@ -299,17 +310,23 @@ def _enum_tables(k: int, depth: int, q: int):
         weights = np.tile(inner_counts.astype(float), slab)
         counts = np.empty(rows * n)
         for i in range(0, rows, slab):
-            part = split[i:i + slab] - i * n
+            part = keys[i:i + slab] - i * n
             counts[i * n:(i + len(part)) * n] = np.bincount(
                 part.ravel(), weights[:part.size], minlength=len(part) * n)
         occupied = np.flatnonzero(counts)
-        to_cell = np.zeros(rows * n, dtype=np.int32)
-        to_cell[occupied] = np.arange(len(occupied), dtype=np.int32)
-        for i in range(0, rows, slab):  # each key becomes its cell index
-            split[i:i + slab] = np.take(to_cell, split[i:i + slab])
+        # to_cell[key] is the key's cell index, in split's own type, so
+        # np.take writes each slab of cells straight into split
+        to_cell = np.zeros(rows * n,
+                           dtype=np.min_scalar_type(len(occupied) - 1))
+        to_cell[occupied] = np.arange(len(occupied), dtype=to_cell.dtype)
+        split = np.empty((rows, width), dtype=to_cell.dtype)
+        for i in range(0, rows, slab):
+            np.take(to_cell, keys[i:i + slab], out=split[i:i + slab])
+        del keys  # at least split's size: freed before the cell arrays
         cell_group, cell_mono = np.divmod(occupied, n)
-        tables = (cell_mono, cell_group, counts[occupied].astype(np.intp),
-                  split)
+        tables = (cell_mono.astype(np.uint8),
+                  cell_group.astype(np.min_scalar_type(rows - 1)),
+                  counts[occupied].astype(np.intp), split)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -346,7 +363,8 @@ def _cell_map(k: int, depth: int, q: int) -> np.ndarray:
     """Every configuration's cell in _enum_tables(k, depth, q), in base-q
     index order: composed from the cached split tables as cell_d =
     split_d[:, cell_{d-1}].ravel(), from the empty ball's one
-    configuration.  The q**N-long map is not cached."""
+    configuration, so it is in split's type.  The q**N-long map is not
+    cached."""
     cell = np.zeros(1, dtype=np.intp)
     for d in range(depth + 1):
         # np.take keeps the (rows, columns) result C-contiguous
@@ -380,16 +398,19 @@ def _cell_probs(tree: FiniteTree, boundary_fields, params: ModelParams):
             table = (row[:, None] + table).reshape(-1)
 
     # one weight per cell: every configuration in a cell gets these bits
-    logw = math.log(params.theta) * cell_mono + table[cell_group]
+    # (float addition commutes, so adding the mono term second changes none)
+    logw = table[cell_group]
+    logw += math.log(params.theta) * cell_mono
     if not np.isfinite(logw).all():
         raise ValueError("non-finite configuration weight")
     logw -= logw.max()
-    w = np.exp(logw)
+    w = np.exp(logw, out=logw)
     # every configuration's weight in ascending order, as np.sort would
     # give them, so the sum is stable and independent of the cell layout
     order = np.argsort(w)
     z = _repeat_sum(w[order], counts[order])
-    return w / z
+    w /= z
+    return w
 
 
 def finite_volume_measure(tree: FiniteTree, boundary_fields,

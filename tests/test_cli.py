@@ -340,6 +340,30 @@ def test_verify_fails_on_perturbed_field(capsys):
     assert out.splitlines()[-1].startswith("FAIL")
 
 
+def test_verify_past_65536_cells_matches_golden():
+    # 5^10 configurations in 105,900 cells, past what 16-bit cell indices
+    # hold: the report byte for byte, and the same run with an interior
+    # field perturbed fails; a subprocess, so its 19 MB tables are freed.
+    # Its violation digits depend on which float64 exp and log numpy runs:
+    # its AVX-512 loops give the first golden, the C library's functions
+    # (a CPU without AVX-512, or NPY_DISABLE_CPU_FEATURES) the second
+    goldens = [(GOLDEN.parent / name).read_bytes()
+               for name in ("verify_k2_q5_n2.txt", "verify_k2_q5_n2_libm.txt")]
+
+    def verify(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "cayley_potts.cli", "verify", "--k", "2",
+             "--q", "5", "--n", "2", "--theta", "0.5", "--trials", "2", *extra],
+            capture_output=True, env=src_env(), timeout=120, check=False)
+
+    done = verify()
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout in goldens
+    done = verify("--perturb", "0.3")
+    assert done.returncode == 2, done.stderr.decode()
+    assert done.stdout.endswith(b"\nFAIL (tolerance 1e-10)\n")
+
+
 @pytest.mark.parametrize("perturb", ["inf", "-inf", "nan"])
 def test_verify_refuses_non_finite_perturb(capsys, monkeypatch, perturb):
     def no_tree(*args):

@@ -389,19 +389,42 @@ def test_measure_bit_identical_to_naive_enumeration(k, q, n, theta):
     assert not probs.flags.writeable
 
 
-@pytest.mark.parametrize("k,depth,q", [(2, 3, 2), (2, 2, 4)])
+def assert_narrowest_types(k, depth, q):
+    # every depth's mono counts, groups and split in the narrowest type
+    # that holds their largest value; the counts, which the partition sum
+    # subtracts from, in intp
+    for d in range(depth + 1):
+        mono, group, counts, split = _enum_tables(k, d, q)
+        for a in (mono, group, split):
+            assert a.dtype == np.min_scalar_type(a.max())
+        assert counts.dtype == np.intp
+
+
+@pytest.mark.parametrize("k,depth,q", [(2, 1, 4), (2, 2, 2), (2, 3, 2),
+                                       (2, 2, 4)])
 def test_measure_tables_match_whole_array_rebuild(k, depth, q):
-    # 2^22 and 4^10 configurations: past what the naive enumeration reaches
+    # 164 and 404 cells: uint8 and uint16 cell indices; 2^22 and 4^10
+    # configurations: past what the naive enumeration reaches
     *cells, split = _enum_tables(k, depth, q)
     *whole_cells, whole_map = enum_tables_whole(k, depth, q)
     for a, b in zip(cells, whole_cells):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(a, b)
+    assert_narrowest_types(k, depth, q)
     # one row per boundary configuration, one column per inner cell
     n_boundary = len(sphere(build_tree(k, depth), depth))
     assert split.shape == (q**n_boundary, len(_enum_tables(k, depth - 1, q)[0]))
-    assert split.dtype == np.int32 and split.flags.c_contiguous
+    assert split.flags.c_contiguous
     cell = _cell_map(k, depth, q)
-    assert cell.dtype == whole_map.dtype and np.array_equal(cell, whole_map)
+    assert cell.dtype == split.dtype and np.array_equal(cell, whole_map)
+
+
+def test_enum_tables_past_65536_cells():
+    # (k, depth, q) = (2, 2, 5): 105,900 cells, so split needs uint32
+    try:
+        assert _enum_tables(2, 2, 5)[3].dtype == np.uint32
+        assert_narrowest_types(2, 2, 5)
+    finally:
+        _enum_tables.cache_clear()  # its split alone holds 19 MB
 
 
 # perfbench's oracle shapes (k, q, n)
@@ -423,7 +446,13 @@ def test_enum_tables_cache_holds_the_oracle_traffic():
     # every depth of each shape down to 0, and no more than fits
     assert info.currsize == info.maxsize == sum(n + 1 for *_, n in ORACLE_SHAPES)
     check_each_shape()
+    # in the narrowest integer types the 13 entries hold 6,213,160 bytes
+    # (64-bit intp): at most half of 12,655,600, their size with int32
+    # split tables and intp cell arrays
+    held = sum(a.nbytes for k, q, n in ORACLE_SHAPES for d in range(n + 1)
+               for a in _enum_tables(k, d, q))
     assert _enum_tables.cache_info().misses == info.misses
+    assert held <= 12_655_600 // 2
 
 
 @pytest.mark.parametrize("total", [1, 7, 8, 128, 129, _SLICE - 1, _SLICE,
