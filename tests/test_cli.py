@@ -364,6 +364,26 @@ def test_verify_past_65536_cells_matches_golden():
     assert done.stdout.endswith(b"\nFAIL (tolerance 1e-10)\n")
 
 
+
+def test_verify_in_fresh_interpreter_skips_numpy_random():
+    # verify draws its leaf fields from the package's copy of the
+    # default_rng stream; numpy 1.x loads numpy.random with numpy itself,
+    # so the check holds only where a bare numpy import does not
+    command = "verify --k 2 --n 2 --theta 0.5 --trials 3"
+    script = "\n".join([
+        "import sys",
+        "import numpy",
+        "eager = 'numpy.random' in sys.modules",
+        "from cayley_potts.cli import main",
+        f"code = main({command.split()!r})",
+        "assert code == 0, code",
+        "assert eager or 'numpy.random' not in sys.modules",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=src_env(), timeout=120, check=False)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == readme_transcript(command)
+
 @pytest.mark.parametrize("perturb", ["inf", "-inf", "nan"])
 def test_verify_refuses_non_finite_perturb(capsys, monkeypatch, perturb):
     def no_tree(*args):
