@@ -364,7 +364,6 @@ def test_verify_past_65536_cells_matches_golden():
     assert done.stdout.endswith(b"\nFAIL (tolerance 1e-10)\n")
 
 
-
 def test_verify_in_fresh_interpreter_skips_numpy_random():
     # verify draws its leaf fields from the package's copy of the
     # default_rng stream; numpy 1.x loads numpy.random with numpy itself,
@@ -383,6 +382,7 @@ def test_verify_in_fresh_interpreter_skips_numpy_random():
                           env=src_env(), timeout=120, check=False)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == readme_transcript(command)
+
 
 @pytest.mark.parametrize("perturb", ["inf", "-inf", "nan"])
 def test_verify_refuses_non_finite_perturb(capsys, monkeypatch, perturb):
